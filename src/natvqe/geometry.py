@@ -15,7 +15,7 @@ along which the state (or the outcome distribution) does not move.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -57,13 +57,13 @@ class MetricUndefinedError(ValueError):
 class MetricMatrix:
     """Real symmetric PSD matrix tagged with the geometry it represents.
 
-    ``eigen_floor_applied`` is an annotation slot: callers that lift the
-    spectrum before inverting may record the floor they used.
+    ``eigenvalues`` (ascending, read-only) come from the validation's
+    ``eigvalsh``, so diagnostics need not decompose the matrix again.
     """
 
     kind: MetricKind
     values: np.ndarray
-    eigen_floor_applied: float | None = None
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -77,7 +77,9 @@ class MetricMatrix:
             raise ValueError(f"metric is not positive semidefinite (min eig {eigs[0]:.3e})")
         vals = np.array(vals, copy=True)
         vals.setflags(write=False)
+        eigs.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "eigenvalues", eigs)
 
     @property
     def dim(self) -> int:
@@ -150,7 +152,7 @@ class SingularityReport:
 
 def singularity_report(metric: MetricMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SingularityReport:
     """Determinant, smallest eigenvalue, and rank at ``rank_tol`` (relative to the largest eigenvalue)."""
-    eigs = np.linalg.eigvalsh(metric.values)
+    eigs = metric.eigenvalues
     scale = max(float(eigs[-1]), 0.0)
     rank = int(np.sum(eigs > rank_tol * scale)) if scale > 0.0 else 0
     return SingularityReport(

@@ -236,7 +236,7 @@ def run(
         if metric is None:
             det, min_eig = 1.0, 1.0
         else:
-            eigs = np.linalg.eigvalsh(metric.values)
+            eigs = metric.eigenvalues
             det, min_eig = float(np.prod(eigs)), float(eigs[0])
         steps.append(TrajectoryStep(k, tuple(float(x) for x in theta), value, grad_norm, det, min_eig))
         if not (np.isfinite(value) and np.isfinite(grad_norm)):

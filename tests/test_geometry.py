@@ -331,3 +331,13 @@ class TestMetricMatrixValidation:
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="semidefinite"):
             MetricMatrix(MetricKind.ITE, np.diag([1.0, -0.5]))
+
+    def test_eigenvalues_from_validation(self, h2_problem):
+        circ, _ = h2_problem
+        metric = fubini_study_metric(circ, [0.3, -0.7, 1.1, 0.2])
+        assert np.array_equal(metric.eigenvalues, np.linalg.eigvalsh(metric.values))
+        with pytest.raises(ValueError):
+            metric.eigenvalues[0] = 0.0
+        report = singularity_report(metric)
+        assert report.min_eigenvalue == metric.eigenvalues[0]
+        assert report.determinant == float(np.prod(metric.eigenvalues))

@@ -14,6 +14,7 @@ from natvqe import (
     TerminalReason,
     Tikhonov,
     circuit,
+    fubini_study_metric,
     load_preset,
     pauli_sum,
     run,
@@ -169,6 +170,15 @@ class TestRun:
         circ, h = single_qubit
         traj = run(OptimizerKind.VANILLA, h, circ, [PI_12, PI_12], ConstantRate(0.05), max_steps=3)
         assert all(s.det_metric == 1.0 and s.min_eig_metric == 1.0 for s in traj.steps)
+
+    def test_metric_diagnostics_are_its_eigenvalues(self, h2_problem):
+        circ, h = h2_problem
+        traj = run(OptimizerKind.NATURAL_FS, h, circ, [0.3, -0.2, 0.1, 0.5], ConstantRate(0.05),
+                   max_steps=3)
+        for s in traj.steps:
+            eigs = np.linalg.eigvalsh(fubini_study_metric(circ, s.theta).values)
+            assert s.min_eig_metric == float(eigs[0])
+            assert s.det_metric == float(np.prod(eigs))
 
     def test_max_steps_validated(self, single_qubit):
         circ, h = single_qubit

@@ -1,4 +1,6 @@
 """Statevector construction and exact parameter derivatives."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -157,3 +159,165 @@ class TestCircuitValidation:
     def test_statevector_length_checked(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# The compiled sweep against the tensordot sweep it replays
+
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+_RY_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+_PHASE_GENERATOR = np.array([[0.0, 0.0], [0.0, 2.0j]], dtype=complex)
+
+
+def _tensordot_unitary(gate, theta):
+    if gate.kind is GateKind.RY:
+        t = theta[gate.param_index]
+        c, s = np.cos(t), np.sin(t)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if gate.kind is GateKind.PHASE:
+        t = theta[gate.param_index]
+        return np.array([[1.0, 0.0], [0.0, np.exp(2.0j * t)]], dtype=complex)
+    if gate.kind is GateKind.CNOT:
+        return _CNOT
+    return gate.matrix
+
+
+def _tensordot_apply(mat, targets, batch):
+    k = len(targets)
+    axes = [1 + t for t in targets]
+    out = np.tensordot(batch, mat.reshape((2,) * (2 * k)), axes=(axes, list(range(k, 2 * k))))
+    return np.moveaxis(out, range(out.ndim - k, out.ndim), axes)
+
+
+def tensordot_sweep(circ, theta):
+    """Reference sweep: one tensordot + moveaxis per gate, generator pushed through row 0."""
+    theta = np.asarray(theta, dtype=float)
+    n, m = circ.n_qubits, circ.n_params
+    batch = np.zeros((m + 1, 2 ** n), dtype=complex)
+    batch[0, 0] = 1.0
+    batch = batch.reshape((m + 1,) + (2,) * n)
+    for gate in circ.gates:
+        unitary = _tensordot_unitary(gate, theta)
+        generator = {GateKind.RY: _RY_GENERATOR, GateKind.PHASE: _PHASE_GENERATOR}.get(gate.kind)
+        pushed = None
+        if generator is not None:
+            pushed = _tensordot_apply(generator @ unitary, gate.targets, batch[:1])
+        batch = _tensordot_apply(unitary, gate.targets, batch)
+        if pushed is not None:
+            batch[1 + gate.param_index] += pushed[0]
+    flat = batch.reshape(m + 1, -1)
+    return flat[0], flat[1:]
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_circuit(rng):
+    """1-4 qubits; ry, phase, cnot, 1- and 2-qubit fixed unitaries; slots drawn with repeats."""
+    n = int(rng.integers(1, 5))
+    slots = int(rng.integers(1, 5))
+    gates = [ry(int(rng.integers(n)), int(rng.integers(slots)))]
+    for _ in range(int(rng.integers(1, 13))):
+        kind = rng.choice(["ry", "phase", "cnot", "u1", "u2"] if n > 1 else ["ry", "phase", "u1"])
+        if kind == "ry":
+            gates.append(ry(int(rng.integers(n)), int(rng.integers(slots))))
+        elif kind == "phase":
+            gates.append(phase(int(rng.integers(n)), int(rng.integers(slots))))
+        elif kind == "cnot":
+            gates.append(cnot(*(int(q) for q in rng.choice(n, 2, replace=False))))
+        elif kind == "u1":
+            gates.append(fixed_unitary(random_unitary(rng, 2), int(rng.integers(n))))
+        else:
+            gates.append(fixed_unitary(random_unitary(rng, 4), *(int(q) for q in rng.choice(n, 2, replace=False))))
+    # renumber the slots in use to 0..m-1
+    used = sorted({g.param_index for g in gates if g.param_index is not None})
+    slot = {old: new for new, old in enumerate(used)}
+    return circuit(n, [g if g.param_index is None else Gate(g.kind, g.targets, slot[g.param_index])
+                       for g in gates])
+
+
+class TestCompiledSweep:
+    def test_bit_identical_to_tensordot_sweep(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(400):
+            circ = random_circuit(rng)
+            theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+            phi, tangents = state_and_tangents(circ, theta)
+            ref_phi, ref_tangents = tensordot_sweep(circ, theta)
+            if any(g.kind is GateKind.CNOT for g in circ.gates):
+                # a permutation may flip the sign of a zero, which array_equal ignores
+                assert np.array_equal(phi, ref_phi)
+                assert np.array_equal(tangents, ref_tangents)
+            else:
+                assert phi.tobytes() == ref_phi.tobytes()
+                assert tangents.tobytes() == ref_tangents.tobytes()
+            # downstream BLAS calls round by layout, so the layout must match too
+            assert phi.strides == ref_phi.strides and tangents.strides == ref_tangents.strides
+            assert np.array_equal(build_state(circ, theta).amplitudes, phi)
+            for g in circ.gates:
+                if g.kind is GateKind.CNOT:
+                    seen.add("cnot down" if g.targets[0] < g.targets[1] else "cnot up")
+                    if abs(g.targets[0] - g.targets[1]) > 1:
+                        seen.add("cnot non-adjacent")
+                elif g.kind is GateKind.UNITARY:
+                    seen.add(f"unitary {len(g.targets)}")
+            slots = [g.param_index for g in circ.gates if g.param_index is not None]
+            if len(slots) > len(set(slots)):
+                seen.add("shared slot")
+            seen.add(f"last {circ.gates[-1].kind.value}")
+        assert seen == {"cnot down", "cnot up", "cnot non-adjacent", "unitary 1", "unitary 2",
+                        "shared slot", "last ry", "last phase", "last cnot", "last unitary"}
+
+
+class TestSweepMemo:
+    def test_results_are_read_only(self):
+        phi, tangents = state_and_tangents(hardware_efficient_ansatz(), [0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError):
+            phi[0] = 0.0
+        with pytest.raises(ValueError):
+            tangents[0, 0] = 0.0
+
+    def test_same_theta_returns_the_remembered_arrays(self):
+        circ = hardware_efficient_ansatz()
+        first = state_and_tangents(circ, [0.1, 0.2, 0.3, 0.4])
+        again = state_and_tangents(circ, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_alternating_thetas(self):
+        circ = repeated_param_circuit()
+        thetas = [np.array([0.3, -1.1]), np.array([2.0, 0.7])]
+        refs = [tensordot_sweep(circ, t) for t in thetas]
+        for i in [0, 1, 0, 0, 1, 1, 0]:
+            phi, tangents = state_and_tangents(circ, thetas[i])
+            assert np.array_equal(phi, refs[i][0]) and np.array_equal(tangents, refs[i][1])
+
+    def test_alternating_circuits(self):
+        # two equal gate lists are two circuits, each with its own memo
+        circuits = [hardware_efficient_ansatz(), hardware_efficient_ansatz(), repeated_param_circuit()]
+        thetas = [np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.5, 0.6])]
+        refs = [tensordot_sweep(c, t) for c, t in zip(circuits, thetas)]
+        for i in [0, 1, 2, 0, 2, 1, 1, 0]:
+            phi, tangents = state_and_tangents(circuits[i], thetas[i])
+            assert np.array_equal(phi, refs[i][0]) and np.array_equal(tangents, refs[i][1])
+
+    def test_signed_zero_parameters(self):
+        # at theta = -0.0 the phase-then-ry tangents carry -0.0 where +0.0 gives +0.0
+        circ = circuit(1, [phase(0, 0), ry(0, 1)])
+        for theta in ([0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [-0.0, 0.0]):
+            phi, tangents = state_and_tangents(circ, theta)
+            ref_phi, ref_tangents = tensordot_sweep(circ, theta)
+            assert phi.tobytes() == ref_phi.tobytes()
+            assert tangents.tobytes() == ref_tangents.tobytes()
+
+    def test_circuit_is_freed_after_use(self):
+        # plan and memo live on the circuit; nothing else keeps it alive
+        circ = repeated_param_circuit()
+        state_and_tangents(circ, [0.3, 0.4])
+        build_state(circ, [0.5, 0.6])
+        ref = weakref.ref(circ)
+        del circ
+        assert ref() is None
