@@ -111,9 +111,12 @@ def _parse_circuit(entry: dict) -> AnsatzCircuit:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"circuit entry needs n_qubits and gates: {exc}") from exc
     try:
-        return circuit(n_qubits, gates)
+        circ = circuit(n_qubits, gates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if circ.n_params == 0:
+        raise ConfigError("circuit has no parameterized gate")
+    return circ
 
 
 def _parse_hamiltonian(terms, n_qubits: int) -> PauliHamiltonian:

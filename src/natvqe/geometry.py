@@ -8,7 +8,11 @@ states of a circuit:
 * the Gram matrix preconditioning imaginary-time evolution
   ``A_ij = Re<d_i phi|d_j phi>`` (F without the rank-one correction), and
 * the classical Fisher information of the measurement-outcome distribution
-  ``FC = sum_i (1/p_i) (dp_i)(dp_i)^T``.
+  ``FC = sum_i (1/p_i) (dp_i)(dp_i)^T``, computed in the Hamiltonian's
+  eigenbasis V: with c = V^H phi and W = conj(tangents) V, p_i and dp_i are
+  block sums of |c_j|^2 and 2 Re(W_j c_j) over the eigenvectors j of outcome i.
+  That is two matrix products, O(m d^2), whatever the number of outcomes K;
+  summing over the K projectors costs O(K m d^2).
 
 Rank deficiency of these matrices marks singular parameter points: directions
 along which the state (or the outcome distribution) does not move.
@@ -69,6 +73,8 @@ class MetricMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("metric must be a square matrix")
+        if vals.shape[0] == 0:
+            raise ValueError("metric is empty: the circuit has no parameters")
         if np.max(np.abs(vals - vals.T)) > SYMMETRY_TOL:
             raise ValueError("metric must be symmetric")
         eigs = np.linalg.eigvalsh(vals)
@@ -122,21 +128,20 @@ def classical_fisher_metric(
     Outcomes with p_i <= prob_floor are excluded from the sum (their 1/p_i
     weight diverges).  If fewer than two outcomes survive, the distribution is
     degenerate and the metric is undefined.
+
+    p and dp = 2 Re<d phi|E_i|phi> are read off the decomposition's eigenbasis
+    (see the module docstring): one m x d by d x d product and a block sum,
+    then one m x K by K x m product, in place of a pass over each projector.
     """
     phi, tangents = state_and_tangents(circ, theta)
-    retained: list[tuple[float, np.ndarray]] = []
-    for proj in decomposition.projectors:
-        proj_phi = proj @ phi
-        p = float(np.vdot(phi, proj_phi).real)
-        if p > prob_floor:
-            dp = 2.0 * np.real(tangents.conj() @ proj_phi)
-            retained.append((p, dp))
-    if len(retained) < 2:
+    coeffs, p = decomposition.expand(phi)
+    overlaps = np.real((tangents.conj() @ decomposition.basis) * coeffs)
+    dp = 2.0 * np.add.reduceat(overlaps, decomposition.starts, axis=1)
+    kept = p > prob_floor
+    if np.count_nonzero(kept) < 2:
         raise MetricUndefinedError("metric undefined: degenerate distribution")
-    m = circ.n_params
-    values = np.zeros((m, m))
-    for p, dp in retained:
-        values += np.outer(dp, dp) / p
+    dp = dp[:, kept]
+    values = (dp / p[kept]) @ dp.T
     return MetricMatrix(MetricKind.CLASSICAL_FISHER, _symmetrized(values))
 
 

@@ -123,10 +123,19 @@ def energy_gradient(
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues (ascending) with their orthogonal projectors."""
+    """Distinct eigenvalues (ascending) with their orthogonal projectors.
+
+    ``basis`` (read-only, d x d) holds orthonormal eigenvectors as columns,
+    grouped by outcome: columns ``starts[i]`` up to ``starts[i + 1]`` (or d)
+    span the range of ``projectors[i]``.  ``expand`` reads the outcome
+    probabilities off that basis in O(d^2), where summing over the projectors
+    costs O(K d^2) for K outcomes.
+    """
 
     eigenvalues: np.ndarray
     projectors: tuple[np.ndarray, ...]
+    basis: np.ndarray
+    starts: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -135,6 +144,12 @@ class SpectralDecomposition:
         if np.any(np.diff(vals) <= 0):
             raise ValueError("eigenvalues must be strictly ascending")
         dim = self.projectors[0].shape[0]
+        starts = np.array(self.starts, dtype=np.intp)
+        basis = np.array(self.basis, dtype=complex)
+        if starts.shape != vals.shape or starts[0] != 0 or np.any(np.diff(starts) <= 0):
+            raise ValueError("starts must ascend from 0, one per eigenvalue")
+        if basis.shape != (dim, dim) or starts[-1] >= dim:
+            raise ValueError("basis must be square with one column block per eigenvalue")
         total = sum(self.projectors)
         if np.max(np.abs(total - np.eye(dim))) > 1e-10:
             raise ValueError("projectors do not resolve the identity")
@@ -143,15 +158,27 @@ class SpectralDecomposition:
                 expect = p if i == j else 0.0
                 if np.max(np.abs(p @ q - expect)) > 1e-10:
                     raise ValueError("projectors are not orthogonal idempotents")
-        vals.setflags(write=False)
+        for arr in (vals, starts, basis):
+            arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "basis", basis)
+
+    def expand(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients c = basis^H vec and the outcome weights <vec|E_i|vec>.
+
+        Weight i is the sum of |c_j|^2 over the columns j of outcome i; for a
+        normalized state these are the outcome probabilities.
+        """
+        coeffs = np.conj(np.conj(vec) @ self.basis)
+        return coeffs, np.add.reduceat(coeffs.real ** 2 + coeffs.imag ** 2, self.starts)
 
 
 @lru_cache(maxsize=128)
 def spectral_decompose(
     hamiltonian: PauliHamiltonian, degeneracy_tol: float = 1e-9
 ) -> SpectralDecomposition:
-    """Eigenvalues and projectors of H, merging eigenvalues within ``degeneracy_tol``."""
+    """Eigenvalues, projectors and eigenbasis of H, merging eigenvalues within ``degeneracy_tol``."""
     w, v = np.linalg.eigh(dense_matrix(hamiltonian))
     boundaries = [0]
     for i in range(1, len(w)):
@@ -166,7 +193,7 @@ def spectral_decompose(
         proj = block @ block.conj().T
         proj.setflags(write=False)
         projectors.append(proj)
-    return SpectralDecomposition(np.array(eigenvalues), tuple(projectors))
+    return SpectralDecomposition(np.array(eigenvalues), tuple(projectors), v, np.array(boundaries[:-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +216,12 @@ class OutcomeDistribution:
 def outcome_distribution(
     decomposition: SpectralDecomposition, state: StateVector
 ) -> OutcomeDistribution:
-    """Probabilities p_i = <phi|E_i|phi> of each spectral outcome."""
+    """Probabilities p_i = <phi|E_i|phi> of each spectral outcome.
+
+    Read off the eigenbasis coefficients of phi (``SpectralDecomposition.expand``):
+    one d x d product for all outcomes, the same p the classical Fisher metric uses.
+    """
     vec = state.amplitudes
-    if decomposition.projectors[0].shape[0] != vec.shape[0]:
+    if decomposition.basis.shape[0] != vec.shape[0]:
         raise ValueError("decomposition and state dimensions do not match")
-    probs = np.array([np.vdot(vec, proj @ vec).real for proj in decomposition.projectors])
-    return OutcomeDistribution(probs)
+    return OutcomeDistribution(decomposition.expand(vec)[1])

@@ -99,7 +99,7 @@ class EigenFloor:
 
 @dataclass(frozen=True)
 class PseudoInverse:
-    """Invert on the span of eigenpairs with eigenvalue >= cut * max_eigenvalue."""
+    """Invert on the span of eigenpairs with eigenvalue > 0 and >= cut * max_eigenvalue."""
 
     cut: float
 
@@ -163,7 +163,8 @@ def solve_regularized(
         if isinstance(policy, EigenFloor):
             x = v @ ((v.T @ g) / np.maximum(w, policy.epsilon))
         else:
-            keep = w >= policy.cut * w[-1]
+            # a metric with no positive eigenvalue has pseudo-inverse 0: a zero step
+            keep = (w > 0.0) & (w >= policy.cut * w[-1])
             x = v[:, keep] @ ((v[:, keep].T @ g) / w[keep])
     if not np.all(np.isfinite(x)):
         raise ArithmeticError("regularized solve produced non-finite values")
@@ -223,6 +224,8 @@ def run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if circ.n_params == 0:
+        raise ValueError("circuit has no parameters to optimize")
     theta = check_parameters(circ, theta0)
     steps: list[TrajectoryStep] = []
     k = 0

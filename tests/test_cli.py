@@ -133,6 +133,15 @@ class TestRunCommand:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad), "--optimizer", "vanilla"]) == 2
 
+    def test_circuit_without_parameters_is_config_error(self, tmp_path, capsys):
+        doc = dict(CUSTOM_CONFIG, theta0=[])
+        doc["circuit"] = {"n_qubits": 2, "gates": [{"kind": "cnot", "targets": [0, 1]}]}
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, doc)), "--out-dir", str(out)])
+        assert code == 2
+        assert "no parameterized gate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -15,20 +15,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from natvqe import (
+    Gate,
     MetricKind,
     MetricMatrix,
     MetricUndefinedError,
     build_state,
+    circuit,
     classical_fisher_metric,
+    cnot,
     entanglement_entropy,
+    fixed_unitary,
     fubini_study_metric,
     hardware_efficient_ansatz,
     ite_matrix,
     outcome_distribution,
+    pauli_sum,
+    phase,
     psd_order_check,
+    ry,
     single_qubit_ansatz,
     singularity_report,
     spectral_decompose,
+    state_and_tangents,
     StateVector,
 )
 
@@ -324,6 +332,13 @@ class TestPsdOrder:
 
 
 class TestMetricMatrixValidation:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no parameters"):
+            MetricMatrix(MetricKind.ITE, np.zeros((0, 0)))
+        fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
+        with pytest.raises(ValueError, match="no parameters"):
+            fubini_study_metric(fixed_only, [])
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             MetricMatrix(MetricKind.ITE, np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -341,3 +356,188 @@ class TestMetricMatrixValidation:
         report = singularity_report(metric)
         assert report.min_eigenvalue == metric.eigenvalues[0]
         assert report.determinant == float(np.prod(metric.eigenvalues))
+
+
+# ---------------------------------------------------------------------------
+# The eigenbasis classical Fisher metric against the projector loop it replaced
+
+PROB_FLOOR = 1e-12
+
+# Hamiltonians with degenerate eigenvalues, so outcomes span several eigenvectors
+DEGENERATE = {
+    1: [[(2.0, "I")]],
+    2: [[(1.0, "ZI"), (1.0, "IZ")], [(1.0, "XX"), (1.0, "YY")]],
+    3: [[(1.0, "ZII"), (1.0, "IZI"), (1.0, "IIZ")], [(1.0, "XXI"), (1.0, "YYI")]],
+}
+
+
+def projector_loop_fisher(circ, theta, decomposition):
+    """Reference FC: one pass per projector.  Returns (values, kept outcomes)."""
+    phi, tangents = state_and_tangents(circ, theta)
+    kept, retained = [], []
+    for proj in decomposition.projectors:
+        proj_phi = proj @ phi
+        p = float(np.vdot(phi, proj_phi).real)
+        kept.append(p > PROB_FLOOR)
+        if p > PROB_FLOOR:
+            retained.append((p, 2.0 * np.real(tangents.conj() @ proj_phi)))
+    if len(retained) < 2:
+        raise MetricUndefinedError("metric undefined: degenerate distribution")
+    values = np.zeros((circ.n_params, circ.n_params))
+    for p, dp in retained:
+        values += np.outer(dp, dp) / p
+    return 0.5 * (values + values.T), np.array(kept)
+
+
+def projector_probabilities(circ, theta, decomposition):
+    vec = build_state(circ, theta).amplitudes
+    return np.array([np.vdot(vec, proj @ vec).real for proj in decomposition.projectors])
+
+
+def random_problem(pick, uniform):
+    """(circuit, hamiltonian, theta): 1-3 qubits, ry/phase/CNOT, slots drawn with repeats.
+
+    ``pick(k)`` returns an integer in [0, k) and ``uniform()`` an angle.  The
+    Hamiltonian is one of ``DEGENERATE`` or a random Pauli sum with
+    half-integer weights (degenerate eigenvalues are common) or uniform
+    weights.  Half the angles sit on multiples of pi/4, where states are often
+    eigenstates and outcomes drop out of the Fisher sum.
+    """
+    n = 1 + pick(3)
+    slots = 1 + pick(4)
+    gates = [ry(pick(n), pick(slots))]
+    for _ in range(pick(9)):
+        kind = pick(3 if n > 1 else 2)
+        if kind == 0:
+            gates.append(ry(pick(n), pick(slots)))
+        elif kind == 1:
+            gates.append(phase(pick(n), pick(slots)))
+        else:
+            control = pick(n)
+            gates.append(cnot(control, (control + 1 + pick(n - 1)) % n))
+    used = sorted({g.param_index for g in gates if g.param_index is not None})
+    slot = {old: new for new, old in enumerate(used)}
+    circ = circuit(n, [g if g.param_index is None else Gate(g.kind, g.targets, slot[g.param_index])
+                       for g in gates])
+    choice = pick(len(DEGENERATE[n]) + 2)
+    if choice < len(DEGENERATE[n]):
+        terms = DEGENERATE[n][choice]
+    else:
+        half_integer = choice == len(DEGENERATE[n])
+        terms = [(pick(4) - 1.5 if half_integer else uniform(), "".join("IXYZ"[pick(4)] for _ in range(n)))
+                 for _ in range(1 + pick(4))]
+    theta = np.array([pick(8) * np.pi / 4 if pick(2) else uniform() for _ in range(circ.n_params)])
+    return circ, pauli_sum(n, terms), theta
+
+
+@st.composite
+def problems(draw):
+    return random_problem(lambda k: draw(st.integers(0, k - 1)), lambda: draw(angle))
+
+
+def seeded_problems(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield random_problem(lambda k: int(rng.integers(k)), lambda: float(rng.uniform(-np.pi, np.pi)))
+
+
+class TestClassicalFisherEigenbasis:
+    def test_matches_projector_loop(self):
+        seen = set()
+        for circ, h, theta in seeded_problems(41, 400):
+            decomp = spectral_decompose(h)
+            try:
+                ref, ref_kept = projector_loop_fisher(circ, theta, decomp)
+            except MetricUndefinedError:
+                with pytest.raises(MetricUndefinedError, match="degenerate distribution"):
+                    classical_fisher_metric(circ, theta, decomp)
+                seen.add("raised")
+                continue
+            values = classical_fisher_metric(circ, theta, decomp).values
+            phi, tangents = state_and_tangents(circ, theta)
+            p = decomp.expand(phi)[1]
+            assert np.array_equal(p > PROB_FLOOR, ref_kept)
+            if p[ref_kept].min() > 1e-6:
+                # |FC_ij| <= 4 max_i |d_i phi|^2, so this is a relative bound even
+                # where FC itself is round-off (a stationary point of every p_k)
+                scale = 4.0 * np.max(np.sum(np.abs(tangents) ** 2, axis=1))
+                assert np.max(np.abs(values - ref)) <= 1e-9 * scale
+                seen.add("compared")
+            if not ref_kept.all():
+                seen.add("outcome dropped")
+            if np.any(np.diff(np.append(decomp.starts, len(phi))) > 1):
+                seen.add("degenerate outcome")
+            if circ.n_qubits == 3:
+                seen.add("3 qubits")
+        assert seen == {"raised", "compared", "outcome dropped", "degenerate outcome", "3 qubits"}
+
+    def test_central_difference_oracle(self):
+        """dp from central differences of p_k = <phi|P_k|phi>, independent of both forms."""
+        done, delta = 0, 1e-5
+        for circ, h, theta in seeded_problems(42, 400):
+            decomp = spectral_decompose(h)
+            p = projector_probabilities(circ, theta, decomp)
+            kept = p > PROB_FLOOR
+            if np.count_nonzero(kept) < 2 or p[kept].min() < 1e-3:
+                continue
+            dp = np.zeros((circ.n_params, len(p)))
+            for i in range(circ.n_params):
+                up, down = theta.copy(), theta.copy()
+                up[i] += delta
+                down[i] -= delta
+                dp[i] = (projector_probabilities(circ, up, decomp)
+                         - projector_probabilities(circ, down, decomp)) / (2 * delta)
+            oracle = (dp[:, kept] / p[kept]) @ dp[:, kept].T
+            values = classical_fisher_metric(circ, theta, decomp).values
+            assert np.max(np.abs(values - oracle)) < 1e-6 * max(1.0, np.max(np.abs(oracle)))
+            done += 1
+        assert done > 100
+
+    @given(problems())
+    def test_dominated_by_four_times_metric(self, problem):
+        circ, h, theta = problem
+        try:
+            fc = classical_fisher_metric(circ, theta, spectral_decompose(h))
+        except MetricUndefinedError:
+            return
+        four_f = MetricMatrix(MetricKind.FUBINI_STUDY, 4.0 * fubini_study_metric(circ, theta).values)
+        assert psd_order_check(four_f, fc, tol=1e-9 * max(1.0, float(four_f.eigenvalues[-1])))
+
+    @given(problems())
+    def test_rank_below_kept_outcomes(self, problem):
+        # the kept dp_k sum to (nearly) zero because the p_k sum to one
+        circ, h, theta = problem
+        decomp = spectral_decompose(h)
+        try:
+            fc = classical_fisher_metric(circ, theta, decomp)
+        except MetricUndefinedError:
+            return
+        phi, tangents = state_and_tangents(circ, theta)
+        kept = np.count_nonzero(decomp.expand(phi)[1] > PROB_FLOOR)
+        # rank against 4 tr A >= max eig FC, not against FC itself, which may be all round-off
+        scale = 4.0 * np.sum(np.abs(tangents) ** 2)
+        assert np.count_nonzero(fc.eigenvalues > 1e-9 * scale) <= kept - 1
+
+    @given(problems())
+    def test_basis_is_read_only_and_unitary(self, problem):
+        _, h, _ = problem
+        basis = spectral_decompose(h).basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0.0
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(basis)))) < 1e-12
+
+    @given(problems())
+    def test_blocks_span_the_projectors(self, problem):
+        _, h, _ = problem
+        decomp = spectral_decompose(h)
+        ends = np.append(decomp.starts[1:], len(decomp.basis))
+        for lo, hi, proj in zip(decomp.starts, ends, decomp.projectors):
+            block = decomp.basis[:, lo:hi]
+            assert np.max(np.abs(block @ block.conj().T - proj)) < 1e-12
+
+    @given(problems())
+    def test_outcome_distribution_matches_projectors(self, problem):
+        circ, h, theta = problem
+        decomp = spectral_decompose(h)
+        probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
+        assert np.max(np.abs(probs - projector_probabilities(circ, theta, decomp))) < 1e-12

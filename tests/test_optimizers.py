@@ -14,6 +14,7 @@ from natvqe import (
     TerminalReason,
     Tikhonov,
     circuit,
+    fixed_unitary,
     fubini_study_metric,
     load_preset,
     pauli_sum,
@@ -54,6 +55,13 @@ class TestSolveRegularized:
     def test_pseudo_inverse_drops_null_direction(self):
         x = solve_regularized(metric_of(np.diag([1.0, 0.0])), [1.0, 1.0], PseudoInverse(1e-6))
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [np.zeros((2, 2)), np.diag([-1e-12, 0.0])],
+                             ids=["zero", "round-off negative"])
+    def test_pseudo_inverse_without_positive_eigenvalue_is_zero_step(self, values):
+        x = solve_regularized(metric_of(values), [1.0, -2.0], PseudoInverse(1e-6))
+        assert np.array_equal(x, [0.0, 0.0])
 
     def test_gradient_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -184,6 +192,12 @@ class TestRun:
         circ, h = single_qubit
         with pytest.raises(ValueError, match="max_steps"):
             run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=0)
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_circuit_without_parameters_rejected(self, kind):
+        fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
+        with pytest.raises(ValueError, match="no parameters"):
+            run(kind, pauli_sum(1, [(1.0, "X")]), fixed_only, [], ConstantRate(0.05), max_steps=3)
 
 
 class TestCaseStudyDynamics:
