@@ -2,13 +2,16 @@
 
 Hamiltonians are real-weighted sums of Pauli tensor products, materialized
 densely (the design envelope is a handful of qubits).  The spectral
-decomposition groups eigenvalues into projectors so the measurement-outcome
-distribution p_i = <phi|E_i|phi> is well defined even with degeneracies.
+decomposition groups the eigenvectors of H into one orthonormal basis, one
+column block per distinct eigenvalue, so the measurement-outcome distribution
+p_i = <phi|E_i|phi> is well defined even with degeneracies.  The basis is the
+decomposition: it is validated by one O(d^3) orthonormality check, kept in
+O(d^2) memory, and the projectors E_i are built only when first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,46 +126,61 @@ def energy_gradient(
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues (ascending) with their orthogonal projectors.
+    """Distinct eigenvalues (ascending) and an orthonormal eigenbasis grouped by outcome.
 
-    ``basis`` (read-only, d x d) holds orthonormal eigenvectors as columns,
-    grouped by outcome: columns ``starts[i]`` up to ``starts[i + 1]`` (or d)
-    span the range of ``projectors[i]``.  ``expand`` reads the outcome
-    probabilities off that basis in O(d^2), where summing over the projectors
-    costs O(K d^2) for K outcomes.
+    The basis is the decomposition.  ``basis`` (read-only, d x d) holds the
+    eigenvectors as columns; columns ``starts[i]`` up to ``starts[i + 1]`` (or
+    d) form the block B_i of outcome i, whose projector is E_i = B_i B_i^H.
+    ``expand`` reads the outcome probabilities off that basis in O(d^2), where
+    summing over the projectors costs O(K d^2) for K outcomes.
+
+    Validation is one d x d product: max|V^H V - I| <= 1e-10 / d for V =
+    ``basis``.  With E = V^H V - I this implies, to first order, the projector
+    checks at 1e-10: P_i P_j - delta_ij P_i = B_i E_ij B_j^H and
+    sum_k P_k - I = V V^H - I = V E V^-1, and every entry of either is at most
+    d * max|E| because the rows of V have unit norm to first order.  So
+    construction costs O(d^3) time and O(d^2) memory, where checking all K^2
+    projector products costs O(K^2 d^3) and storing them O(K d^2).
+
+    ``projectors`` (read-only E_i, one per outcome) are built the first time
+    they are read; nothing in the library reads them.
     """
 
     eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
     basis: np.ndarray
     starts: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or len(vals) != len(self.projectors):
-            raise ValueError("one projector per eigenvalue required")
+        if vals.ndim != 1 or len(vals) == 0:
+            raise ValueError("eigenvalues must be a non-empty 1-d array")
         if np.any(np.diff(vals) <= 0):
             raise ValueError("eigenvalues must be strictly ascending")
-        dim = self.projectors[0].shape[0]
         starts = np.array(self.starts, dtype=np.intp)
         basis = np.array(self.basis, dtype=complex)
         if starts.shape != vals.shape or starts[0] != 0 or np.any(np.diff(starts) <= 0):
             raise ValueError("starts must ascend from 0, one per eigenvalue")
+        dim = len(basis)
         if basis.shape != (dim, dim) or starts[-1] >= dim:
             raise ValueError("basis must be square with one column block per eigenvalue")
-        total = sum(self.projectors)
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
-            raise ValueError("projectors do not resolve the identity")
-        for i, p in enumerate(self.projectors):
-            for j, q in enumerate(self.projectors):
-                expect = p if i == j else 0.0
-                if np.max(np.abs(p @ q - expect)) > 1e-10:
-                    raise ValueError("projectors are not orthogonal idempotents")
+        if np.max(np.abs(basis.conj().T @ basis - np.eye(dim))) > 1e-10 / dim:
+            raise ValueError("basis is not orthonormal")
         for arr in (vals, starts, basis):
             arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "basis", basis)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Orthogonal projector E_i = B_i B_i^H of each outcome (read-only, built on first read)."""
+        projectors = []
+        for lo, hi in zip(self.starts, np.append(self.starts[1:], len(self.basis))):
+            block = self.basis[:, lo:hi]
+            proj = block @ block.conj().T
+            proj.setflags(write=False)
+            projectors.append(proj)
+        return tuple(projectors)
 
     def expand(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients c = basis^H vec and the outcome weights <vec|E_i|vec>.
@@ -178,22 +196,15 @@ class SpectralDecomposition:
 def spectral_decompose(
     hamiltonian: PauliHamiltonian, degeneracy_tol: float = 1e-9
 ) -> SpectralDecomposition:
-    """Eigenvalues, projectors and eigenbasis of H, merging eigenvalues within ``degeneracy_tol``."""
+    """Eigenvalues and eigenbasis of H, merging eigenvalues within ``degeneracy_tol``."""
     w, v = np.linalg.eigh(dense_matrix(hamiltonian))
     boundaries = [0]
     for i in range(1, len(w)):
         if w[i] - w[i - 1] > degeneracy_tol:
             boundaries.append(i)
     boundaries.append(len(w))
-    eigenvalues = []
-    projectors = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        eigenvalues.append(float(np.mean(w[lo:hi])))
-        block = v[:, lo:hi]
-        proj = block @ block.conj().T
-        proj.setflags(write=False)
-        projectors.append(proj)
-    return SpectralDecomposition(np.array(eigenvalues), tuple(projectors), v, np.array(boundaries[:-1]))
+    eigenvalues = [float(np.mean(w[lo:hi])) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
+    return SpectralDecomposition(np.array(eigenvalues), v, np.array(boundaries[:-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,6 +186,11 @@ def _metric_for(
     return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
 
 
+def _require_parameters(circ: AnsatzCircuit) -> None:
+    if circ.n_params == 0:
+        raise ValueError("circuit has no parameters to optimize")
+
+
 def step(
     kind: OptimizerKind,
     hamiltonian: PauliHamiltonian,
@@ -195,6 +200,7 @@ def step(
     policy: RegularizationPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """One parameter update theta - eta * M^{-1} grad (M = identity for VANILLA)."""
+    _require_parameters(circ)
     theta = check_parameters(circ, theta)
     if not (eta > 0.0):
         raise ValueError("learning rate must be positive")
@@ -224,8 +230,7 @@ def run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if circ.n_params == 0:
-        raise ValueError("circuit has no parameters to optimize")
+    _require_parameters(circ)
     theta = check_parameters(circ, theta0)
     steps: list[TrajectoryStep] = []
     k = 0

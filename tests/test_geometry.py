@@ -533,7 +533,9 @@ class TestClassicalFisherEigenbasis:
         ends = np.append(decomp.starts[1:], len(decomp.basis))
         for lo, hi, proj in zip(decomp.starts, ends, decomp.projectors):
             block = decomp.basis[:, lo:hi]
-            assert np.max(np.abs(block @ block.conj().T - proj)) < 1e-12
+            assert proj.tobytes() == (block @ block.conj().T).tobytes()
+            with pytest.raises(ValueError):
+                proj[0, 0] = 0.0
 
     @given(problems())
     def test_outcome_distribution_matches_projectors(self, problem):
@@ -541,3 +543,48 @@ class TestClassicalFisherEigenbasis:
         decomp = spectral_decompose(h)
         probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
         assert np.max(np.abs(probs - projector_probabilities(circ, theta, decomp))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Projectors built on first read against the projector checks the
+# orthonormality check of the basis replaced
+
+
+def replaced_projector_checks(projectors, tol=1e-10):
+    """Identity resolution and all K^2 orthogonal-idempotent products, at ``tol``."""
+    dim = projectors[0].shape[0]
+    total = sum(projectors)
+    if np.max(np.abs(total - np.eye(dim))) > tol:
+        raise ValueError("projectors do not resolve the identity")
+    for i, p in enumerate(projectors):
+        for j, q in enumerate(projectors):
+            expect = p if i == j else 0.0
+            if np.max(np.abs(p @ q - expect)) > tol:
+                raise ValueError("projectors are not orthogonal idempotents")
+
+
+def heisenberg_chain(n):
+    """XX + YY + ZZ on neighbouring qubits: degenerate blocks of many sizes (35 outcomes at n = 7)."""
+    return pauli_sum(n, [(1.0, "I" * i + pauli * 2 + "I" * (n - i - 2))
+                         for i in range(n - 1) for pauli in "XYZ"])
+
+
+class TestProjectorsOnFirstRead:
+    def test_pass_the_replaced_checks(self):
+        hamiltonians = [h for _, h, _ in seeded_problems(41, 400)]
+        hamiltonians += [pauli_sum(n, terms) for n, sets in DEGENERATE.items() for terms in sets]
+        hamiltonians.append(heisenberg_chain(7))
+        for h in hamiltonians:
+            replaced_projector_checks(spectral_decompose(h).projectors)
+        assert len(spectral_decompose(heisenberg_chain(7)).projectors) == 35
+
+    def test_metric_and_distribution_leave_projectors_unbuilt(self):
+        for circ, h, theta in seeded_problems(44, 100):
+            decomp = spectral_decompose.__wrapped__(h)
+            outcome_distribution(decomp, build_state(circ, theta))
+            try:
+                classical_fisher_metric(circ, theta, decomp)
+            except MetricUndefinedError:
+                pass
+            assert "projectors" not in decomp.__dict__
+            assert decomp.projectors is decomp.projectors

@@ -17,6 +17,7 @@ from natvqe import (
     sigma_x_hamiltonian,
     single_qubit_ansatz,
     spectral_decompose,
+    SpectralDecomposition,
     StateVector,
 )
 
@@ -131,6 +132,52 @@ class TestSpectralDecomposition:
         vec = h2_ground_state().amplitudes
         residual = dense_matrix(h) @ vec - H2_GROUND * vec
         assert np.linalg.norm(residual) < 1e-10
+
+
+def skewed_basis(dim, delta, overlap):
+    """A unitary times sqrt(I + delta M): Gram matrix I + delta M up to round-off.
+
+    M is e_0 e_0^T (column 0 longer) or e_0 e_1^T + e_1 e_0^T (columns 0 and 1
+    not orthogonal).
+    """
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    m = np.zeros((dim, dim))
+    m[0, 1 if overlap else 0] = m[1 if overlap else 0, 0] = 1.0
+    lam, w = np.linalg.eigh(np.eye(dim) + delta * m)
+    return q @ (w * np.sqrt(lam)) @ w.T
+
+
+class TestSpectralDecompositionValidation:
+    def test_accepts_an_orthonormal_basis(self):
+        decomp = SpectralDecomposition([-1.0, 2.0], np.eye(3), [0, 2])
+        np.testing.assert_array_equal(decomp.projectors[0], np.diag([1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(decomp.projectors[1], np.diag([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("eigenvalues", [[1.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
+    def test_eigenvalues_must_ascend(self, eigenvalues):
+        with pytest.raises(ValueError, match="ascending"):
+            SpectralDecomposition(eigenvalues, np.eye(3), [0, 1, 2])
+
+    @pytest.mark.parametrize("starts", [[1, 2], [0, 0], [2, 1], [0], [0, 1, 2]])
+    def test_starts_ascend_from_zero_one_per_eigenvalue(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            SpectralDecomposition([0.0, 1.0], np.eye(3), starts)
+
+    @pytest.mark.parametrize("basis", [np.eye(3)[:, :2], np.eye(3)[:2], np.eye(2)])
+    def test_basis_square_with_a_block_per_eigenvalue(self, basis):
+        with pytest.raises(ValueError, match="square"):
+            SpectralDecomposition([0.0, 1.0, 2.0], basis, [0, 1, 2])
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_gram_tolerance_is_1e10_over_dim(self, dim, overlap):
+        tol = 1e-10 / dim
+        eigenvalues, starts = np.arange(dim, dtype=float), np.arange(dim)
+        accepted = SpectralDecomposition(eigenvalues, skewed_basis(dim, 0.99 * tol, overlap), starts)
+        assert accepted.basis.shape == (dim, dim)
+        with pytest.raises(ValueError, match="orthonormal"):
+            SpectralDecomposition(eigenvalues, skewed_basis(dim, 1.01 * tol, overlap), starts)
 
 
 class TestOutcomeDistribution:

@@ -23,6 +23,7 @@ from natvqe import (
     solve_regularized,
     step,
 )
+from natvqe import optimizers
 
 PI_12 = np.pi / 12
 
@@ -117,6 +118,16 @@ class TestStep:
         circ, h = single_qubit
         with pytest.raises(ValueError, match="positive"):
             step(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], 0.0)
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_circuit_without_parameters_rejected_before_any_sweep(self, kind, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("step swept a circuit without parameters")
+
+        monkeypatch.setattr(optimizers, "energy_and_gradient", no_sweep)
+        fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
+        with pytest.raises(ValueError, match="no parameters"):
+            step(kind, pauli_sum(1, [(1.0, "X")]), fixed_only, [], 0.05)
 
 
 class TestSchedules:
