@@ -1,42 +1,19 @@
-"""Geometry-aware gradient optimizers for small variational eigensolver problems."""
+"""Geometry-aware gradient optimizers for small variational eigensolver problems.
 
-from .experiments import (
-    ComparisonReport,
-    OptimizerResult,
-    PRESET_NAMES,
-    Preset,
-    compare,
-    h2_hamiltonian,
-    hardware_efficient_ansatz,
-    load_preset,
-    sigma_x_hamiltonian,
-    single_qubit_ansatz,
-    steps_to_threshold,
-)
+The root exports what a study needs; every other public name lives in its
+module's ``__all__``.
+"""
+
+from .experiments import PRESET_NAMES, compare, load_preset, steps_to_threshold
 from .geometry import (
-    MetricKind,
-    MetricMatrix,
     MetricUndefinedError,
-    SingularityReport,
     classical_fisher_metric,
     entanglement_entropy,
     fubini_study_metric,
     ite_matrix,
-    psd_order_check,
     singularity_report,
 )
-from .observables import (
-    OutcomeDistribution,
-    PauliHamiltonian,
-    SpectralDecomposition,
-    dense_matrix,
-    energy,
-    energy_and_gradient,
-    energy_gradient,
-    outcome_distribution,
-    pauli_sum,
-    spectral_decompose,
-)
+from .observables import energy, energy_and_gradient, pauli_sum, spectral_decompose
 from .optimizers import (
     DEFAULT_POLICY,
     ConstantRate,
@@ -46,21 +23,13 @@ from .optimizers import (
     PseudoInverse,
     TerminalReason,
     Tikhonov,
-    Trajectory,
-    TrajectoryStep,
     run,
-    solve_regularized,
     step,
 )
 from .states import (
-    AnsatzCircuit,
-    Gate,
-    GateKind,
-    StateVector,
     build_state,
     circuit,
     cnot,
-    derivative_states,
     fixed_unitary,
     phase,
     ry,

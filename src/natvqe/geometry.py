@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .observables import SpectralDecomposition
-from .states import AnsatzCircuit, StateVector, state_and_tangents
+from .states import AnsatzCircuit, state_and_tangents
 
 __all__ = [
     "MetricKind",
@@ -43,7 +43,7 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-9
-DEFAULT_PROB_FLOOR = 1e-12
+PROB_FLOOR = 1e-12  # outcomes this unlikely are left out of the Fisher sum
 DEFAULT_RANK_TOL = 1e-9
 
 
@@ -121,11 +121,10 @@ def classical_fisher_metric(
     circ: AnsatzCircuit,
     theta: Sequence[float],
     decomposition: SpectralDecomposition,
-    prob_floor: float = DEFAULT_PROB_FLOOR,
 ) -> MetricMatrix:
     """Fisher information of the outcome distribution p_i(theta) = <phi|E_i|phi>.
 
-    Outcomes with p_i <= prob_floor are excluded from the sum (their 1/p_i
+    Outcomes with p_i <= PROB_FLOOR are excluded from the sum (their 1/p_i
     weight diverges).  If fewer than two outcomes survive, the distribution is
     degenerate and the metric is undefined.
 
@@ -137,7 +136,7 @@ def classical_fisher_metric(
     coeffs, p = decomposition.expand(phi)
     overlaps = np.real((tangents.conj() @ decomposition.basis) * coeffs)
     dp = 2.0 * np.add.reduceat(overlaps, decomposition.starts, axis=1)
-    kept = p > prob_floor
+    kept = p > PROB_FLOOR
     if np.count_nonzero(kept) < 2:
         raise MetricUndefinedError("metric undefined: degenerate distribution")
     dp = dp[:, kept]
@@ -168,14 +167,15 @@ def singularity_report(metric: MetricMatrix, rank_tol: float = DEFAULT_RANK_TOL)
     )
 
 
-def entanglement_entropy(state: StateVector) -> float:
+def entanglement_entropy(state: np.ndarray) -> float:
     """Von Neumann entropy (natural log) of one qubit of a normalized 2-qubit pure state.
 
-    Zero exactly on product states, log 2 on maximally entangled ones.
+    ``state`` holds the 4 amplitudes.  Zero exactly on product states, log 2 on
+    maximally entangled ones.
     """
-    if state.n_qubits != 2:
+    amps = np.asarray(state, dtype=complex)
+    if amps.shape != (4,):
         raise ValueError("entanglement entropy is defined here for exactly 2 qubits")
-    amps = state.amplitudes
     if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
     singular = np.linalg.svd(amps.reshape(2, 2), compute_uv=False)

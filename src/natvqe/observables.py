@@ -1,22 +1,23 @@
 """Pauli-sum observables: energy, exact energy gradient, spectral structure.
 
 Hamiltonians are real-weighted sums of Pauli tensor products, materialized
-densely (the design envelope is a handful of qubits).  The spectral
+densely (the design envelope is a handful of qubits).  States are amplitude
+arrays of length 2**n, as ``states.build_state`` returns them.  The spectral
 decomposition groups the eigenvectors of H into one orthonormal basis, one
 column block per distinct eigenvalue, so the measurement-outcome distribution
 p_i = <phi|E_i|phi> is well defined even with degeneracies.  The basis is the
-decomposition: it is validated by one O(d^3) orthonormality check, kept in
-O(d^2) memory, and the projectors E_i are built only when first read.
+decomposition: it is validated by one O(d^3) orthonormality check and kept in
+O(d^2) memory; no projector E_i is ever formed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import AnsatzCircuit, StateVector, state_and_tangents
+from .states import AnsatzCircuit, state_and_tangents
 
 __all__ = [
     "PauliHamiltonian",
@@ -26,7 +27,6 @@ __all__ = [
     "dense_matrix",
     "energy",
     "energy_and_gradient",
-    "energy_gradient",
     "spectral_decompose",
     "outcome_distribution",
 ]
@@ -39,6 +39,7 @@ _PAULI = {
 }
 
 ENERGY_IMAG_TOL = 1e-10
+DEGENERACY_TOL = 1e-9  # eigenvalues of H closer than this are one outcome
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,6 @@ def dense_matrix(hamiltonian: PauliHamiltonian) -> np.ndarray:
     return total
 
 
-def _check_dims(hamiltonian: PauliHamiltonian, n_qubits: int) -> None:
-    if hamiltonian.n_qubits != n_qubits:
-        raise ValueError(
-            f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has {n_qubits}"
-        )
-
-
 def _real_expectation(vec: np.ndarray, matvec: np.ndarray) -> float:
     value = np.vdot(vec, matvec)
     if abs(value.imag) >= ENERGY_IMAG_TOL:
@@ -94,10 +88,13 @@ def _real_expectation(vec: np.ndarray, matvec: np.ndarray) -> float:
     return float(value.real)
 
 
-def energy(hamiltonian: PauliHamiltonian, state: StateVector) -> float:
-    """Mean energy <phi|H|phi> of a state."""
-    _check_dims(hamiltonian, state.n_qubits)
-    vec = state.amplitudes
+def energy(hamiltonian: PauliHamiltonian, state: np.ndarray) -> float:
+    """Mean energy <phi|H|phi> of a state given by its 2**n amplitudes."""
+    vec = np.asarray(state, dtype=complex)
+    if vec.shape != (2 ** hamiltonian.n_qubits,):
+        raise ValueError(
+            f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has shape {vec.shape}"
+        )
     return _real_expectation(vec, dense_matrix(hamiltonian) @ vec)
 
 
@@ -109,19 +106,15 @@ def energy_and_gradient(
     Component i of the gradient is 2*Re <d_i phi|H|phi>, which is the exact
     df/d(theta_i) for a unitary family.
     """
-    _check_dims(hamiltonian, circ.n_qubits)
+    if hamiltonian.n_qubits != circ.n_qubits:
+        raise ValueError(
+            f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has {circ.n_qubits}"
+        )
     phi, tangents = state_and_tangents(circ, theta)
     hphi = dense_matrix(hamiltonian) @ phi
     value = _real_expectation(phi, hphi)
     grad = 2.0 * np.real(tangents.conj() @ hphi)
     return value, grad
-
-
-def energy_gradient(
-    hamiltonian: PauliHamiltonian, circ: AnsatzCircuit, theta: Sequence[float]
-) -> np.ndarray:
-    """Exact gradient of the mean energy with respect to theta."""
-    return energy_and_gradient(hamiltonian, circ, theta)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +134,6 @@ class SpectralDecomposition:
     d * max|E| because the rows of V have unit norm to first order.  So
     construction costs O(d^3) time and O(d^2) memory, where checking all K^2
     projector products costs O(K^2 d^3) and storing them O(K d^2).
-
-    ``projectors`` (read-only E_i, one per outcome) are built the first time
-    they are read; nothing in the library reads them.
     """
 
     eigenvalues: np.ndarray
@@ -151,7 +141,7 @@ class SpectralDecomposition:
     starts: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
+        vals = np.array(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d array")
         if np.any(np.diff(vals) <= 0):
@@ -171,17 +161,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "basis", basis)
 
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Orthogonal projector E_i = B_i B_i^H of each outcome (read-only, built on first read)."""
-        projectors = []
-        for lo, hi in zip(self.starts, np.append(self.starts[1:], len(self.basis))):
-            block = self.basis[:, lo:hi]
-            proj = block @ block.conj().T
-            proj.setflags(write=False)
-            projectors.append(proj)
-        return tuple(projectors)
-
     def expand(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients c = basis^H vec and the outcome weights <vec|E_i|vec>.
 
@@ -193,14 +172,12 @@ class SpectralDecomposition:
 
 
 @lru_cache(maxsize=128)
-def spectral_decompose(
-    hamiltonian: PauliHamiltonian, degeneracy_tol: float = 1e-9
-) -> SpectralDecomposition:
-    """Eigenvalues and eigenbasis of H, merging eigenvalues within ``degeneracy_tol``."""
+def spectral_decompose(hamiltonian: PauliHamiltonian) -> SpectralDecomposition:
+    """Eigenvalues and eigenbasis of H, merging eigenvalues within ``DEGENERACY_TOL``."""
     w, v = np.linalg.eigh(dense_matrix(hamiltonian))
     boundaries = [0]
     for i in range(1, len(w)):
-        if w[i] - w[i - 1] > degeneracy_tol:
+        if w[i] - w[i - 1] > DEGENERACY_TOL:
             boundaries.append(i)
     boundaries.append(len(w))
     eigenvalues = [float(np.mean(w[lo:hi])) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
@@ -225,14 +202,14 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(
-    decomposition: SpectralDecomposition, state: StateVector
+    decomposition: SpectralDecomposition, state: np.ndarray
 ) -> OutcomeDistribution:
     """Probabilities p_i = <phi|E_i|phi> of each spectral outcome.
 
     Read off the eigenbasis coefficients of phi (``SpectralDecomposition.expand``):
     one d x d product for all outcomes, the same p the classical Fisher metric uses.
     """
-    vec = state.amplitudes
-    if decomposition.basis.shape[0] != vec.shape[0]:
+    vec = np.asarray(state, dtype=complex)
+    if vec.shape != (len(decomposition.basis),):
         raise ValueError("decomposition and state dimensions do not match")
     return OutcomeDistribution(decomposition.expand(vec)[1])

@@ -144,9 +144,6 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.steps])
 
-    def thetas(self) -> np.ndarray:
-        return np.array([s.theta for s in self.steps])
-
 
 def solve_regularized(
     metric: MetricMatrix, grad: Sequence[float], policy: RegularizationPolicy

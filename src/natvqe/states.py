@@ -19,9 +19,10 @@ which differs from this one only in the last bit of some amplitudes, takes
 450 natural-gradient steps to escape instead of the 487 that tensordot's
 arithmetic gives.
 
-Every circuit also keeps its last ``state_and_tangents`` result, keyed by the
-bytes of theta, so the energy, gradient and metrics at one point share a
-single sweep.
+A state is its read-only complex amplitude array, of length 2**n.  Every
+circuit also keeps its last ``state_and_tangents`` result, keyed by the bytes
+of theta, so the energy, gradient and metrics at one point share a single
+sweep.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ __all__ = [
     "GateKind",
     "Gate",
     "AnsatzCircuit",
-    "StateVector",
     "ry",
     "phase",
     "cnot",
@@ -46,7 +46,6 @@ __all__ = [
     "check_parameters",
     "state_and_tangents",
     "build_state",
-    "derivative_states",
 ]
 
 
@@ -168,26 +167,6 @@ def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
     return AnsatzCircuit(n_qubits, gates, n_params)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Pure n-qubit state as a dense complex amplitude vector of length 2**n."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(
-                f"expected {2 ** self.n_qubits} amplitudes for {self.n_qubits} qubit(s), "
-                f"got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", _frozen(amps))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def check_parameters(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
     """Validate a parameter vector against a circuit and return it as a float array."""
     arr = np.asarray(theta, dtype=float)
@@ -299,19 +278,13 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     return phi, tangents
 
 
-def build_state(circ: AnsatzCircuit, theta: Sequence[float]) -> StateVector:
-    """Evaluate U(theta)|0..0> as a StateVector (norm 1 within NORM_TOL).
+def build_state(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
+    """Evaluate U(theta)|0..0> as a read-only amplitude array (norm 1 within NORM_TOL).
 
-    The amplitudes are those of ``state_and_tangents``, bit for bit: a sweep
-    of the state row alone would round differently in BLAS.
+    It is the state row of ``state_and_tangents``, the same array: a sweep of
+    the state row alone would round differently in BLAS.
     """
     amps, _ = state_and_tangents(circ, theta)
     if abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
         raise ArithmeticError("circuit application lost normalization")
-    return StateVector(circ.n_qubits, amps)
-
-
-def derivative_states(circ: AnsatzCircuit, theta: Sequence[float]) -> list[StateVector]:
-    """Exact derivative states d|phi>/d(theta_i), i = 0..m-1 (not normalized)."""
-    _, tangents = state_and_tangents(circ, theta)
-    return [StateVector(circ.n_qubits, row) for row in tangents]
+    return amps

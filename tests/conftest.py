@@ -28,13 +28,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def single_qubit():
-    from natvqe import sigma_x_hamiltonian, single_qubit_ansatz
+    from natvqe.experiments import sigma_x_hamiltonian, single_qubit_ansatz
 
     return single_qubit_ansatz(), sigma_x_hamiltonian()
 
 
 @pytest.fixture(scope="session")
 def h2_problem():
-    from natvqe import h2_hamiltonian, hardware_efficient_ansatz
+    from natvqe.experiments import h2_hamiltonian, hardware_efficient_ansatz
 
     return hardware_efficient_ansatz(), h2_hamiltonian()

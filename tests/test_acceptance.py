@@ -32,20 +32,17 @@ from natvqe import (
     build_state,
     classical_fisher_metric,
     compare,
-    dense_matrix,
-    energy_gradient,
+    energy_and_gradient,
     energy,
     entanglement_entropy,
     fubini_study_metric,
-    hardware_efficient_ansatz,
     ite_matrix,
     load_preset,
-    outcome_distribution,
     run,
-    sigma_x_hamiltonian,
-    single_qubit_ansatz,
     spectral_decompose,
 )
+from natvqe.experiments import hardware_efficient_ansatz, sigma_x_hamiltonian, single_qubit_ansatz
+from natvqe.observables import dense_matrix, outcome_distribution
 
 V, N, I = OptimizerKind.VANILLA, OptimizerKind.NATURAL_FS, OptimizerKind.ITE
 POLICY = EigenFloor(1e-10)
@@ -281,7 +278,7 @@ def test_criterion_13_gradient_oracle(single_qubit, h2_problem):
     for circ, h in (single_qubit, h2_problem):
         for _ in range(1000):
             theta = rng.uniform(-np.pi, np.pi, circ.n_params)
-            grad = energy_gradient(h, circ, theta)
+            grad = energy_and_gradient(h, circ, theta)[1]
             for i in range(circ.n_params):
                 up, down = theta.copy(), theta.copy()
                 up[i] += delta

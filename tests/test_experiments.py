@@ -9,10 +9,10 @@ from natvqe import (
     OptimizerKind,
     PRESET_NAMES,
     compare,
-    dense_matrix,
     load_preset,
     steps_to_threshold,
 )
+from natvqe.observables import dense_matrix
 
 V, N, I = OptimizerKind.VANILLA, OptimizerKind.NATURAL_FS, OptimizerKind.ITE
 

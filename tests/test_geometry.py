@@ -15,9 +15,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from natvqe import (
-    Gate,
-    MetricKind,
-    MetricMatrix,
     MetricUndefinedError,
     build_state,
     circuit,
@@ -26,19 +23,20 @@ from natvqe import (
     entanglement_entropy,
     fixed_unitary,
     fubini_study_metric,
-    hardware_efficient_ansatz,
     ite_matrix,
-    outcome_distribution,
     pauli_sum,
     phase,
-    psd_order_check,
     ry,
-    single_qubit_ansatz,
     singularity_report,
     spectral_decompose,
     state_and_tangents,
-    StateVector,
 )
+from natvqe.experiments import hardware_efficient_ansatz, single_qubit_ansatz
+from natvqe.geometry import PROB_FLOOR, MetricKind, MetricMatrix, psd_order_check
+from natvqe.observables import outcome_distribution
+from natvqe.states import Gate, GateKind
+from test_observables import projectors
+from test_states import random_circuit
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 
@@ -69,10 +67,10 @@ def overlap_metric_oracle(circ, theta, delta=1e-4):
     infinitesimal distance of the metric.  Independent of derivative states."""
     theta = np.asarray(theta, float)
     m = circ.n_params
-    base = build_state(circ, theta).amplitudes
+    base = build_state(circ, theta)
 
     def loss(x):
-        return 1.0 - abs(np.vdot(base, build_state(circ, theta + x).amplitudes)) ** 2
+        return 1.0 - abs(np.vdot(base, build_state(circ, theta + x))) ** 2
 
     fit = np.zeros((m, m))
     for i in range(m):
@@ -245,10 +243,10 @@ class TestSingularityReport:
 
 class TestEntanglementEntropy:
     def test_product_state(self):
-        assert entanglement_entropy(StateVector(2, np.array([1, 0, 0, 0], dtype=complex))) == 0.0
+        assert entanglement_entropy(np.array([1, 0, 0, 0], dtype=complex)) == 0.0
 
     def test_bell_state(self):
-        bell = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         assert abs(entanglement_entropy(bell) - math.log(2)) < 1e-12
 
     def test_matches_spectral_formula(self, h2_problem):
@@ -280,12 +278,13 @@ class TestEntanglementEntropy:
                     assert (s < 1e-9) == (d < 1e-9)
 
     def test_wrong_qubit_count(self):
-        with pytest.raises(ValueError, match="2 qubits"):
-            entanglement_entropy(StateVector(1, np.array([1, 0], dtype=complex)))
+        for state in (np.array([1, 0], dtype=complex), np.eye(2) / np.sqrt(2), np.ones(8) / np.sqrt(8)):
+            with pytest.raises(ValueError, match="2 qubits"):
+                entanglement_entropy(state)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
-            entanglement_entropy(StateVector(2, np.array([1, 1, 0, 0], dtype=complex)))
+            entanglement_entropy(np.array([1, 1, 0, 0], dtype=complex))
 
 
 class TestPsdOrder:
@@ -361,8 +360,6 @@ class TestMetricMatrixValidation:
 # ---------------------------------------------------------------------------
 # The eigenbasis classical Fisher metric against the projector loop it replaced
 
-PROB_FLOOR = 1e-12
-
 # Hamiltonians with degenerate eigenvalues, so outcomes span several eigenvectors
 DEGENERATE = {
     1: [[(2.0, "I")]],
@@ -375,7 +372,7 @@ def projector_loop_fisher(circ, theta, decomposition):
     """Reference FC: one pass per projector.  Returns (values, kept outcomes)."""
     phi, tangents = state_and_tangents(circ, theta)
     kept, retained = [], []
-    for proj in decomposition.projectors:
+    for proj in projectors(decomposition):
         proj_phi = proj @ phi
         p = float(np.vdot(phi, proj_phi).real)
         kept.append(p > PROB_FLOOR)
@@ -390,8 +387,8 @@ def projector_loop_fisher(circ, theta, decomposition):
 
 
 def projector_probabilities(circ, theta, decomposition):
-    vec = build_state(circ, theta).amplitudes
-    return np.array([np.vdot(vec, proj @ vec).real for proj in decomposition.projectors])
+    vec = build_state(circ, theta)
+    return np.array([np.vdot(vec, proj @ vec).real for proj in projectors(decomposition)])
 
 
 def random_problem(pick, uniform):
@@ -527,17 +524,6 @@ class TestClassicalFisherEigenbasis:
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(basis)))) < 1e-12
 
     @given(problems())
-    def test_blocks_span_the_projectors(self, problem):
-        _, h, _ = problem
-        decomp = spectral_decompose(h)
-        ends = np.append(decomp.starts[1:], len(decomp.basis))
-        for lo, hi, proj in zip(decomp.starts, ends, decomp.projectors):
-            block = decomp.basis[:, lo:hi]
-            assert proj.tobytes() == (block @ block.conj().T).tobytes()
-            with pytest.raises(ValueError):
-                proj[0, 0] = 0.0
-
-    @given(problems())
     def test_outcome_distribution_matches_projectors(self, problem):
         circ, h, theta = problem
         decomp = spectral_decompose(h)
@@ -546,7 +532,7 @@ class TestClassicalFisherEigenbasis:
 
 
 # ---------------------------------------------------------------------------
-# Projectors built on first read against the projector checks the
+# Projectors of the eigenbasis blocks against the projector checks the
 # orthonormality check of the basis replaced
 
 
@@ -569,22 +555,83 @@ def heisenberg_chain(n):
                          for i in range(n - 1) for pauli in "XYZ"])
 
 
-class TestProjectorsOnFirstRead:
+class TestBlockProjectors:
     def test_pass_the_replaced_checks(self):
         hamiltonians = [h for _, h, _ in seeded_problems(41, 400)]
         hamiltonians += [pauli_sum(n, terms) for n, sets in DEGENERATE.items() for terms in sets]
         hamiltonians.append(heisenberg_chain(7))
         for h in hamiltonians:
-            replaced_projector_checks(spectral_decompose(h).projectors)
-        assert len(spectral_decompose(heisenberg_chain(7)).projectors) == 35
+            replaced_projector_checks(projectors(spectral_decompose(h)))
+        assert len(spectral_decompose(heisenberg_chain(7)).starts) == 35
 
-    def test_metric_and_distribution_leave_projectors_unbuilt(self):
-        for circ, h, theta in seeded_problems(44, 100):
-            decomp = spectral_decompose.__wrapped__(h)
-            outcome_distribution(decomp, build_state(circ, theta))
-            try:
-                classical_fisher_metric(circ, theta, decomp)
-            except MetricUndefinedError:
-                pass
-            assert "projectors" not in decomp.__dict__
-            assert decomp.projectors is decomp.projectors
+
+# ---------------------------------------------------------------------------
+# Invariants over random circuits: 1-4 qubits, ry, phase, CNOT, 1- and 2-qubit
+# fixed unitaries, parameter slots shared between gates
+
+
+def random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def real_circuit(circ, rng):
+    """The same gate layout with every gate real: phase -> ry, fixed unitaries -> orthogonal."""
+    gates = []
+    for g in circ.gates:
+        if g.kind is GateKind.PHASE:
+            gates.append(ry(g.targets[0], g.param_index))
+        elif g.kind is GateKind.UNITARY:
+            gates.append(fixed_unitary(random_orthogonal(rng, 2 ** len(g.targets)), *g.targets))
+        else:
+            gates.append(g)
+    return circuit(circ.n_qubits, gates)
+
+
+def distinct_slots(circ):
+    """The circuit with one slot per parametrized gate, and J with J[g, slot of gate g] = 1."""
+    gates, rows = [], []
+    for g in circ.gates:
+        if g.param_index is None:
+            gates.append(g)
+        else:
+            gates.append(Gate(g.kind, g.targets, len(rows)))
+            rows.append(g.param_index)
+    jacobian = np.zeros((len(rows), circ.n_params))
+    jacobian[np.arange(len(rows)), rows] = 1.0
+    return circuit(circ.n_qubits, gates), jacobian
+
+
+def seeded_circuits(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        circ = random_circuit(rng)
+        yield circ, rng.uniform(-np.pi, np.pi, circ.n_params), rng
+
+
+class TestRandomCircuitInvariants:
+    def test_gram_dominates_metric(self):
+        for circ, theta, _ in seeded_circuits(51, 400):
+            a = ite_matrix(circ, theta)
+            f = fubini_study_metric(circ, theta)
+            assert psd_order_check(a, f, tol=1e-9)
+
+    def test_metric_equals_gram_on_real_circuits(self):
+        kinds = set()
+        for circ, theta, rng in seeded_circuits(52, 400):
+            circ = real_circuit(circ, rng)
+            kinds.update(g.kind for g in circ.gates)
+            a = ite_matrix(circ, theta).values
+            f = fubini_study_metric(circ, theta).values
+            assert np.max(np.abs(a - f)) < 1e-12
+        assert kinds == {GateKind.RY, GateKind.CNOT, GateKind.UNITARY}
+
+    def test_shared_slots_pull_back_the_distinct_metric(self):
+        shared = 0
+        for circ, theta, _ in seeded_circuits(53, 400):
+            distinct, jacobian = distinct_slots(circ)
+            f_distinct = fubini_study_metric(distinct, jacobian @ theta).values
+            f = fubini_study_metric(circ, theta).values
+            assert np.max(np.abs(f - jacobian.T @ f_distinct @ jacobian)) < 1e-12
+            shared += jacobian.shape[0] > jacobian.shape[1]
+        assert shared > 100

@@ -5,21 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from natvqe import (
-    build_state,
-    dense_matrix,
-    energy,
-    energy_gradient,
+from natvqe import build_state, energy, energy_and_gradient, pauli_sum, spectral_decompose
+from natvqe.experiments import (
     h2_hamiltonian,
     hardware_efficient_ansatz,
-    outcome_distribution,
-    pauli_sum,
     sigma_x_hamiltonian,
     single_qubit_ansatz,
-    spectral_decompose,
-    SpectralDecomposition,
-    StateVector,
 )
+from natvqe.observables import SpectralDecomposition, dense_matrix, outcome_distribution
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 
@@ -28,7 +21,7 @@ H2_GROUND = -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2)  # -0.8246211251235321
 
 def h2_ground_state():
     v = np.array([-0.2, 0.0, 0.0, 0.8 + math.sqrt(0.68)])
-    return StateVector(2, v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def finite_difference_gradient(hamiltonian, circ, theta, delta=1e-6):
@@ -41,6 +34,13 @@ def finite_difference_gradient(hamiltonian, circ, theta, delta=1e-6):
         grad[i] = (energy(hamiltonian, build_state(circ, up))
                    - energy(hamiltonian, build_state(circ, down))) / (2 * delta)
     return grad
+
+
+def projectors(decomp):
+    """Orthogonal projector E_i = B_i B_i^H of each outcome, from the eigenbasis blocks."""
+    ends = np.append(decomp.starts[1:], len(decomp.basis))
+    return [decomp.basis[:, lo:hi] @ decomp.basis[:, lo:hi].conj().T
+            for lo, hi in zip(decomp.starts, ends)]
 
 
 class TestEnergy:
@@ -63,10 +63,12 @@ class TestEnergy:
         value = energy(h, build_state(circ, [t1, t2]))
         assert abs(value - math.sin(2 * t1) * math.cos(2 * t2)) < 1e-13
 
-    def test_dimension_mismatch(self, h2_problem):
+    @pytest.mark.parametrize("state", [np.array([1.0, 0.0]), np.eye(2), np.ones((4, 1)), np.ones(8)],
+                             ids=["1-qubit", "matrix", "column", "3-qubit"])
+    def test_dimension_mismatch(self, h2_problem, state):
         _, h = h2_problem
         with pytest.raises(ValueError, match="qubit"):
-            energy(h, StateVector(1, np.array([1.0, 0.0])))
+            energy(h, state)
 
     @given(st.lists(angle, min_size=4, max_size=4))
     def test_bounded_by_spectrum(self, theta):
@@ -79,12 +81,12 @@ class TestEnergy:
 class TestEnergyGradient:
     def test_single_qubit_value(self, single_qubit):
         circ, h = single_qubit
-        grad = energy_gradient(h, circ, [np.pi / 12, np.pi / 12])
+        grad = energy_and_gradient(h, circ, [np.pi / 12, np.pi / 12])[1]
         np.testing.assert_allclose(grad, [1.5, -0.5], atol=1e-14)
 
     def test_zero_at_optimum_direction(self, single_qubit):
         circ, h = single_qubit
-        grad = energy_gradient(h, circ, [np.pi / 4, 0.0])
+        grad = energy_and_gradient(h, circ, [np.pi / 4, 0.0])[1]
         np.testing.assert_allclose(grad, [0.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("problem", ["single_qubit", "h2"])
@@ -93,7 +95,7 @@ class TestEnergyGradient:
         rng = np.random.default_rng(17)
         for _ in range(50):
             theta = rng.uniform(-np.pi, np.pi, circ.n_params)
-            grad = energy_gradient(h, circ, theta)
+            grad = energy_and_gradient(h, circ, theta)[1]
             oracle = finite_difference_gradient(h, circ, theta)
             assert np.max(np.abs(grad - oracle)) < 1e-8
 
@@ -104,8 +106,9 @@ class TestSpectralDecomposition:
         np.testing.assert_allclose(decomp.eigenvalues, [-1.0, 1.0], atol=1e-14)
         minus = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
         plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-        np.testing.assert_allclose(decomp.projectors[0], minus, atol=1e-12)
-        np.testing.assert_allclose(decomp.projectors[1], plus, atol=1e-12)
+        projs = projectors(decomp)
+        np.testing.assert_allclose(projs[0], minus, atol=1e-12)
+        np.testing.assert_allclose(projs[1], plus, atol=1e-12)
 
     def test_h2_eigenvalues(self):
         decomp = spectral_decompose(h2_hamiltonian())
@@ -116,20 +119,21 @@ class TestSpectralDecomposition:
         h = pauli_sum(1, [(2.0, "I")])
         decomp = spectral_decompose(h)
         np.testing.assert_allclose(decomp.eigenvalues, [2.0])
-        np.testing.assert_allclose(decomp.projectors[0], np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(projectors(decomp)[0], np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("h", [sigma_x_hamiltonian(), h2_hamiltonian(), h2_hamiltonian(0.4, 0.02)])
     def test_projector_invariants(self, h):
         decomp = spectral_decompose(h)
-        dim = decomp.projectors[0].shape[0]
-        total = sum(decomp.projectors)
+        projs = projectors(decomp)
+        dim = projs[0].shape[0]
+        total = sum(projs)
         np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
-        rebuilt = sum(lam * proj for lam, proj in zip(decomp.eigenvalues, decomp.projectors))
+        rebuilt = sum(lam * proj for lam, proj in zip(decomp.eigenvalues, projs))
         np.testing.assert_allclose(rebuilt, dense_matrix(h), atol=1e-10)
 
     def test_h2_ground_is_eigenvector(self, h2_problem):
         _, h = h2_problem
-        vec = h2_ground_state().amplitudes
+        vec = h2_ground_state()
         residual = dense_matrix(h) @ vec - H2_GROUND * vec
         assert np.linalg.norm(residual) < 1e-10
 
@@ -151,8 +155,9 @@ def skewed_basis(dim, delta, overlap):
 class TestSpectralDecompositionValidation:
     def test_accepts_an_orthonormal_basis(self):
         decomp = SpectralDecomposition([-1.0, 2.0], np.eye(3), [0, 2])
-        np.testing.assert_array_equal(decomp.projectors[0], np.diag([1.0, 1.0, 0.0]))
-        np.testing.assert_array_equal(decomp.projectors[1], np.diag([0.0, 0.0, 1.0]))
+        projs = projectors(decomp)
+        np.testing.assert_array_equal(projs[0], np.diag([1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(projs[1], np.diag([0.0, 0.0, 1.0]))
 
     @pytest.mark.parametrize("eigenvalues", [[1.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
     def test_eigenvalues_must_ascend(self, eigenvalues):
@@ -168,6 +173,16 @@ class TestSpectralDecompositionValidation:
     def test_basis_square_with_a_block_per_eigenvalue(self, basis):
         with pytest.raises(ValueError, match="square"):
             SpectralDecomposition([0.0, 1.0, 2.0], basis, [0, 1, 2])
+
+    def test_copies_the_callers_arrays(self):
+        eigenvalues, basis, starts = np.array([0.0, 1.0]), np.eye(2, dtype=complex), np.array([0, 1])
+        decomp = SpectralDecomposition(eigenvalues, basis, starts)
+        for arr in (eigenvalues, basis, starts):
+            assert arr.flags.writeable
+        eigenvalues[0] = -1.0
+        assert decomp.eigenvalues[0] == 0.0
+        with pytest.raises(ValueError):
+            decomp.eigenvalues[0] = 2.0
 
     @pytest.mark.parametrize("overlap", [False, True])
     @pytest.mark.parametrize("dim", [2, 8, 64])
@@ -200,10 +215,12 @@ class TestOutcomeDistribution:
         probs = outcome_distribution(spectral_decompose(h), h2_ground_state())
         np.testing.assert_allclose(probs.probabilities, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
-    def test_dimension_mismatch(self, h2_problem):
+    @pytest.mark.parametrize("state", [np.array([1.0, 0.0]), np.eye(2), np.ones((4, 1)), np.ones(8)],
+                             ids=["1-qubit", "matrix", "column", "3-qubit"])
+    def test_dimension_mismatch(self, h2_problem, state):
         _, h = h2_problem
         with pytest.raises(ValueError, match="dimension"):
-            outcome_distribution(spectral_decompose(h), StateVector(1, np.array([1.0, 0.0])))
+            outcome_distribution(spectral_decompose(h), state)
 
     @given(st.lists(angle, min_size=4, max_size=4))
     def test_energy_is_spectral_average(self, theta):

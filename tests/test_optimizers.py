@@ -6,8 +6,6 @@ from natvqe import (
     ConstantRate,
     EigenFloor,
     InverseStepRate,
-    MetricKind,
-    MetricMatrix,
     MetricUndefinedError,
     OptimizerKind,
     PseudoInverse,
@@ -20,10 +18,11 @@ from natvqe import (
     pauli_sum,
     run,
     ry,
-    solve_regularized,
     step,
 )
 from natvqe import optimizers
+from natvqe.geometry import MetricKind, MetricMatrix
+from natvqe.optimizers import solve_regularized
 
 PI_12 = np.pi / 12
 
