@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import PRESET_NAMES, load_preset
+from .experiments import PRESET_NAMES, hardware_efficient_ansatz, load_preset
 from .geometry import (
     MetricMatrix,
     MetricUndefinedError,
@@ -65,7 +65,7 @@ from .optimizers import (
     TrajectoryStep,
     run,
 )
-from .states import AnsatzCircuit, Gate, GateKind, circuit
+from .states import AnsatzCircuit, Gate, GateKind, check_parameters, circuit
 from .svgplot import line_plot
 
 OUT_DIR_ENV = "NATVQE_OUT_DIR"
@@ -155,15 +155,16 @@ def _problem_from_args(args) -> tuple[str, PauliHamiltonian, AnsatzCircuit, tupl
         circ = _parse_circuit(doc["circuit"])
         hamiltonian = _parse_hamiltonian(doc["hamiltonian"], circ.n_qubits)
         theta0 = tuple(float(x) for x in doc["theta0"])
+        check_parameters(circ, theta0)
+        defaults = {
+            "eta": float(doc.get("eta", 0.05)),
+            "max_steps": int(doc.get("max_steps", 100)),
+            "preset": None,
+        }
     except KeyError as exc:
         raise ConfigError(f"config file missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config file: {exc}") from exc
-    defaults = {
-        "eta": float(doc.get("eta", 0.05)),
-        "max_steps": int(doc.get("max_steps", 100)),
-        "preset": None,
-    }
     return Path(args.config).stem, hamiltonian, circ, theta0, defaults
 
 
@@ -277,13 +278,28 @@ def trajectory_to_json(trajectory: Trajectory, config_echo: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _gate_echo(gate: Gate) -> dict:
+    """A gate in the config file's format, so the echo parses back to the same gate."""
+    echo = {"kind": gate.kind.value, "targets": list(gate.targets)}
+    if gate.param_index is not None:
+        echo["param_index"] = gate.param_index
+    if gate.matrix is not None:
+        echo["matrix"] = [[[z.real, z.imag] for z in row] for row in gate.matrix.tolist()]
+    return echo
+
+
 def cmd_run(args) -> int:
     name, hamiltonian, circ, theta0, defaults = _problem_from_args(args)
     kinds = _parse_optimizers(args.optimizer)
     eta = args.eta if args.eta is not None else defaults["eta"]
     max_steps = args.steps if args.steps is not None else defaults["max_steps"]
-    schedule = _schedule_from_args(args, eta)
-    policy = _policy_from_args(args)
+    if max_steps < 1:
+        raise ConfigError("max_steps must be at least 1")
+    try:
+        schedule = _schedule_from_args(args, eta)
+        policy = _policy_from_args(args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     out_dir = _out_dir(args)
     try:
@@ -300,14 +316,7 @@ def cmd_run(args) -> int:
             "hamiltonian": [[c, s] for c, s in hamiltonian.terms],
             "circuit": {
                 "n_qubits": circ.n_qubits,
-                "gates": [
-                    {
-                        "kind": g.kind.value,
-                        "targets": list(g.targets),
-                        **({"param_index": g.param_index} if g.param_index is not None else {}),
-                    }
-                    for g in circ.gates
-                ],
+                "gates": [_gate_echo(g) for g in circ.gates],
             },
             "theta0": list(theta0),
             "optimizer": kind.value,
@@ -351,6 +360,13 @@ def _print_metric(label: str, metric: MetricMatrix, rank_tol: float) -> None:
     print(f"  is_singular    = {report.is_singular}")
 
 
+def _is_two_layer_ansatz(circ: AnsatzCircuit) -> bool:
+    """Whether ``circ`` is ``hardware_efficient_ansatz()``, gate for gate."""
+    def layout(c: AnsatzCircuit) -> tuple:
+        return c.n_qubits, [(g.kind, g.targets, g.param_index) for g in c.gates]
+    return layout(circ) == layout(hardware_efficient_ansatz())
+
+
 def cmd_metric(args) -> int:
     name, hamiltonian, circ, theta0, _ = _problem_from_args(args)
     theta = _parse_theta(args.theta, circ.n_params) if args.theta else theta0
@@ -359,7 +375,7 @@ def cmd_metric(args) -> int:
         if kind == "fs":
             metric = fubini_study_metric(circ, theta)
             _print_metric("fubini_study", metric, args.rank_tol)
-            if circ.n_qubits == 2 and circ.n_params == 4:
+            if _is_two_layer_ansatz(circ):
                 # two-layer couplings sit at (1,3) and (2,4); the product of the
                 # coupling-block determinants vanishes exactly on product states
                 f = metric.values

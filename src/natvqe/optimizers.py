@@ -44,8 +44,8 @@ class OptimizerKind(Enum):
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (value > 0.0):
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (0.0 < value < np.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

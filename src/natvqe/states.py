@@ -6,18 +6,21 @@ significant bit of the amplitude index, so a two-qubit product state is
 parametrized gate carries its generator, and one forward sweep accumulates
 d|phi>/d(theta_i) for all parameters simultaneously via the product rule.
 
-Each circuit compiles its sweep once, at construction.  A one-qubit gate is
-one ``np.dot`` of the batch, viewed as ``(rows * 2**(n-1), 2)`` with the
-target axis last, by ``U.T``: the same operands, in the same layout, that
-``np.tensordot`` builds, so every amplitude is bit-identical to a tensordot
-sweep.  CNOT is a precomputed permutation of the amplitude index (exact up to
-the sign of zeros), and fixed gates on two or more qubits keep the tensordot
-contraction.  The kernel replays tensordot's arithmetic on purpose: at the
-``h2-plateau`` start three of the four gradient components are round-off
-(1e-17 to 1e-16), so round-off seeds the plateau escape.  An ``einsum`` sweep,
-which differs from this one only in the last bit of some amplitudes, takes
-450 natural-gradient steps to escape instead of the 487 that tensordot's
-arithmetic gives.
+Each circuit compiles its sweep once, at construction.  The batch of the
+state and its m tangents is a ``(m+1, 2**n)`` array whose columns hold the
+amplitudes in a layout the compiler tracks.  A CNOT permutes basis states, so
+it only relabels that layout and costs nothing at run time.  Every other gate
+is one step: an optional precomputed gather of the columns that puts the
+gate's targets last, in listed order, then one ``np.dot`` of the batch, viewed
+as ``(rows * 2**(n-k), 2**k)``, by ``U.T``; a final gather restores the
+natural amplitude order.  Those are the operands, in the same layout, that
+``np.tensordot`` builds, so every amplitude equals that of a tensordot sweep
+bit for bit (a CNOT contracted by tensordot may flip the sign of a zero).  The
+kernel replays tensordot's arithmetic on purpose: at the ``h2-plateau`` start
+three of the four gradient components are round-off (1e-17 to 1e-16), so
+round-off seeds the plateau escape.  An ``einsum`` sweep, which differs from
+this one only in the last bit of some amplitudes, takes 450 natural-gradient
+steps to escape instead of the 487 that tensordot's arithmetic gives.
 
 A state is its read-only complex amplitude array, of length 2**n.  Every
 circuit also keeps its last ``state_and_tangents`` result, keyed by the bytes
@@ -132,8 +135,10 @@ def fixed_unitary(matrix: np.ndarray, *targets: int) -> Gate:
 class AnsatzCircuit:
     """Ordered gate list defining U(theta) on ``n_qubits`` with ``n_params`` slots.
 
-    ``_plan`` is the compiled sweep; ``_memo`` holds the last
-    ``state_and_tangents`` result as ``(theta bytes, phi, tangents)``.
+    ``_plan`` is the compiled sweep ``(steps, restore)``: one ``(gather, gate)``
+    step per gate other than CNOT, and the gather back to natural order.
+    ``_memo`` holds the last ``state_and_tangents`` result as
+    ``(theta bytes, phi, tangents)``.
     """
 
     n_qubits: int
@@ -156,7 +161,7 @@ class AnsatzCircuit:
         missing = set(range(self.n_params)) - used
         if missing:
             raise ValueError(f"parameter slots never used by any gate: {sorted(missing)}")
-        object.__setattr__(self, "_plan", tuple(_compile(gate, self.n_qubits) for gate in self.gates))
+        object.__setattr__(self, "_plan", _compile(self.gates, self.n_qubits))
 
 
 def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
@@ -197,39 +202,37 @@ def _gate_tangent(gate: Gate, unitary: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _apply_unitary(mat: np.ndarray, targets: tuple[int, ...], batch: np.ndarray, n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the target qubit axes of a batch of states.
+def _gather(held: np.ndarray, want: np.ndarray) -> np.ndarray | None:
+    """The column index that turns layout ``held`` into ``want``, or None if they agree."""
+    column = np.empty_like(held)
+    column[held] = np.arange(held.size)
+    index = column[want]
+    if np.array_equal(index, np.arange(index.size)):
+        return None
+    index.setflags(write=False)
+    return index
 
-    ``batch`` has shape (B, 2, ..., 2) with n trailing qubit axes.
+
+def _compile(gates: tuple[Gate, ...], n: int) -> tuple:
+    """The sweep as ``(steps, restore)``; ``held[j]`` is the amplitude column j holds.
+
+    A CNOT flips the target bit of every held index whose control bit is set.
+    Any other gate is a step ``(gather, gate)``, where ``out[:, j] =
+    in[:, gather[j]]`` puts the other qubits first, in natural order, and the
+    targets last, in listed order.
     """
-    k = len(targets)
-    axes = [1 + t for t in targets]
-    op = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(batch, op, axes=(axes, list(range(k, 2 * k))))
-    return np.moveaxis(out, range(out.ndim - k, out.ndim), axes)
-
-
-_DOT, _PERMUTE, _CONTRACT = range(3)
-
-
-def _compile(gate: Gate, n: int) -> tuple:
-    """One step of the sweep: ``(opcode, gate, operands)``.
-
-    A one-qubit gate carries the axis order that puts its target last, and
-    back.  CNOT carries the gather index ``out[j] = in[index[j]]`` over the
-    amplitude index.  Anything else is contracted by ``_apply_unitary``.
-    """
-    if len(gate.targets) == 1:
-        axis = 1 + gate.targets[0]
-        order = tuple(a for a in range(n + 1) if a != axis) + (axis,)
-        return _DOT, gate, (order, tuple(int(a) for a in np.argsort(order)))
-    if gate.kind is GateKind.CNOT:
-        control, target = (1 << (n - 1 - q) for q in gate.targets)
-        index = np.arange(2 ** n)
-        index = np.where(index & control, index ^ target, index)
-        index.setflags(write=False)
-        return _PERMUTE, gate, index
-    return _CONTRACT, gate, None
+    held = natural = np.arange(2 ** n)
+    steps = []
+    for gate in gates:
+        if gate.kind is GateKind.CNOT:
+            control, target = (1 << (n - 1 - q) for q in gate.targets)
+            held = np.where(held & control, held ^ target, held)
+            continue
+        order = [q for q in range(n) if q not in gate.targets] + list(gate.targets)
+        want = natural.reshape((2,) * n).transpose(order).ravel()
+        steps.append((_gather(held, want), gate))
+        held = want
+    return tuple(steps), _gather(held, natural)
 
 
 def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -248,30 +251,25 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     memo = circ._memo
     if memo is not None and memo[0] == key:
         return memo[1], memo[2]
-    n, rows = circ.n_qubits, circ.n_params + 1
-    shape = (rows,) + (2,) * n
+    rows, n = circ.n_params + 1, circ.n_qubits
     half = 2 ** (n - 1)
     batch = np.zeros((rows, 2 ** n), dtype=complex)
     batch[0, 0] = 1.0
-    batch = batch.reshape(shape)
-    for opcode, gate, operands in circ._plan:
-        if opcode == _DOT:
-            order, inverse = operands
-            unitary = _gate_unitary(gate, theta)
-            tangent = _gate_tangent(gate, unitary)
-            flat = batch.transpose(order).reshape(-1, 2)
-            if tangent is not None:
-                pushed = np.dot(flat[:half], tangent.T)
-            flat = np.dot(flat, unitary.T)
-            if tangent is not None:
-                row = (1 + gate.param_index) * half
-                flat[row:row + half] += pushed
-            batch = flat.reshape(shape).transpose(inverse)
-        elif opcode == _PERMUTE:
-            batch = batch.reshape(rows, -1).take(operands, axis=1).reshape(shape)
-        else:
-            batch = _apply_unitary(gate.matrix, gate.targets, batch, n)
-    flat = batch.reshape(rows, -1)
+    steps, restore = circ._plan
+    for gather, gate in steps:
+        if gather is not None:
+            batch = batch.take(gather, axis=1)
+        unitary = _gate_unitary(gate, theta)
+        tangent = _gate_tangent(gate, unitary)
+        flat = batch.reshape(-1, len(unitary))
+        if tangent is not None:
+            pushed = np.dot(flat[:half], tangent.T)
+        flat = np.dot(flat, unitary.T)
+        if tangent is not None:
+            row = (1 + gate.param_index) * half
+            flat[row:row + half] += pushed
+        batch = flat.reshape(rows, -1)
+    flat = batch if restore is None else batch.take(restore, axis=1)
     flat.setflags(write=False)
     phi, tangents = flat[0], flat[1:]
     object.__setattr__(circ, "_memo", (key, phi, tangents))

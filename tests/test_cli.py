@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from natvqe import ConstantRate, OptimizerKind, load_preset, run
-from natvqe.cli import csv_header, main, parse_trajectory_csv, trajectory_to_csv
+from natvqe.cli import _parse_circuit, csv_header, main, parse_trajectory_csv, trajectory_to_csv
 
 CUSTOM_CONFIG = {
     "hamiltonian": [[0.4, "ZI"], [0.4, "IZ"], [0.2, "XX"]],
@@ -142,6 +142,51 @@ class TestRunCommand:
         assert "no parameterized gate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, fields", [
+        (["--steps", "0"], {}),
+        (["--eta", "0"], {}),
+        (["--eta", "inf"], {}),
+        (["--eta", "nan"], {}),
+        (["--schedule", "inverse", "--eta", "-1"], {}),
+        (["--reg-epsilon", "0"], {}),
+        (["--regularization", "pinv", "--reg-epsilon", "inf"], {}),
+        ([], {"theta0": [0.1, 0.2, 0.3]}),
+        ([], {"max_steps": 0}),
+        ([], {"eta": "fast"}),
+        ([], {"eta": None}),
+    ], ids=["steps-0", "eta-0", "eta-inf", "eta-nan", "inverse-eta-negative", "epsilon-0",
+            "pinv-cut-inf", "theta0-length", "config-max-steps-0", "config-eta-text",
+            "config-eta-null"])
+    def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
+        config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--optimizer", "natural", *flags,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_json_config_echo_rebuilds_the_circuit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        unitary = np.linalg.qr(z)[0]
+        doc = dict(CUSTOM_CONFIG)
+        doc["circuit"] = {"n_qubits": 2, "gates": CUSTOM_CONFIG["circuit"]["gates"] + [
+            {"kind": "unitary", "targets": [1, 0],
+             "matrix": [[[z.real, z.imag] for z in row] for row in unitary.tolist()]},
+        ]}
+        code = main(["run", "--config", str(write_config(tmp_path, doc)), "--steps", "2",
+                     "--format", "json", "--out-dir", str(tmp_path)])
+        assert code == 0
+        echo = json.loads((tmp_path / "problem_vanilla.json").read_text())["config"]["circuit"]
+        rebuilt, original = _parse_circuit(echo), _parse_circuit(doc["circuit"])
+        assert rebuilt.n_qubits == original.n_qubits
+        assert len(rebuilt.gates) == len(original.gates)
+        for a, b in zip(rebuilt.gates, original.gates):
+            assert (a.kind, a.targets, a.param_index) == (b.kind, b.targets, b.param_index)
+            assert (a.matrix is None) == (b.matrix is None)
+            if a.matrix is not None:
+                assert a.matrix.tobytes() == b.matrix.tobytes()
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -160,6 +205,21 @@ class TestMetricCommand:
         indicator = float(out.split("separability_indicator = ")[1].splitlines()[0])
         assert abs(indicator - np.sin(-0.4) ** 2 * np.cos(-0.4) ** 2) < 1e-12
         assert abs(indicator - 0.1286) < 1e-3
+
+    def test_no_separability_indicator_off_the_two_layer_ansatz(self, tmp_path, capsys):
+        # ry, phase on each qubit: 2 qubits and 4 parameters, but only product states
+        doc = dict(CUSTOM_CONFIG, theta0=[0.3, 0.4, 0.5, 0.6])
+        doc["circuit"] = {"n_qubits": 2, "gates": [
+            {"kind": "ry", "targets": [0], "param_index": 0},
+            {"kind": "phase", "targets": [0], "param_index": 1},
+            {"kind": "ry", "targets": [1], "param_index": 2},
+            {"kind": "phase", "targets": [1], "param_index": 3},
+        ]}
+        code = main(["metric", "--config", str(write_config(tmp_path, doc))])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fubini_study" in out
+        assert "separability_indicator" not in out
 
     def test_north_pole_singular(self, capsys):
         code = main(["metric", "--preset", "qubit-a", "--theta", "0,0"])

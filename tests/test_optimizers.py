@@ -144,6 +144,12 @@ class TestSchedules:
         with pytest.raises(ValueError, match="positive"):
             InverseStepRate(-0.1)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_strengths_and_rates_must_be_finite(self, value):
+        for make in (ConstantRate, InverseStepRate, Tikhonov, EigenFloor, PseudoInverse):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make(value)
+
     def test_inverse_step_drives_run(self, single_qubit):
         circ, h = single_qubit
         traj = run(OptimizerKind.VANILLA, h, circ, [PI_12, PI_12], InverseStepRate(0.05), max_steps=2)

@@ -199,22 +199,23 @@ def random_unitary(rng, dim):
 
 
 def random_circuit(rng):
-    """1-4 qubits; ry, phase, cnot, 1- and 2-qubit fixed unitaries; slots drawn with repeats."""
-    n = int(rng.integers(1, 5))
+    """1-6 qubits; ry, phase, cnot, 1- to 3-qubit fixed unitaries; slots drawn with repeats."""
+    n = int(rng.integers(1, 7))
     slots = int(rng.integers(1, 5))
+    kinds = ["ry", "phase", "u1"] + (["cnot", "u2"] if n > 1 else []) + (["u3"] if n > 2 else [])
     gates = [ry(int(rng.integers(n)), int(rng.integers(slots)))]
     for _ in range(int(rng.integers(1, 13))):
-        kind = rng.choice(["ry", "phase", "cnot", "u1", "u2"] if n > 1 else ["ry", "phase", "u1"])
+        kind = rng.choice(kinds)
         if kind == "ry":
             gates.append(ry(int(rng.integers(n)), int(rng.integers(slots))))
         elif kind == "phase":
             gates.append(phase(int(rng.integers(n)), int(rng.integers(slots))))
         elif kind == "cnot":
             gates.append(cnot(*(int(q) for q in rng.choice(n, 2, replace=False))))
-        elif kind == "u1":
-            gates.append(fixed_unitary(random_unitary(rng, 2), int(rng.integers(n))))
         else:
-            gates.append(fixed_unitary(random_unitary(rng, 4), *(int(q) for q in rng.choice(n, 2, replace=False))))
+            k = int(kind[1])
+            targets = (int(q) for q in rng.choice(n, k, replace=False))
+            gates.append(fixed_unitary(random_unitary(rng, 2 ** k), *targets))
     # renumber the slots in use to 0..m-1
     used = sorted({g.param_index for g in gates if g.param_index is not None})
     slot = {old: new for new, old in enumerate(used)}
@@ -241,8 +242,11 @@ class TestCompiledSweep:
             # downstream BLAS calls round by layout, so the layout must match too
             assert phi.strides == ref_phi.strides and tangents.strides == ref_tangents.strides
             assert np.array_equal(build_state(circ, theta), phi)
-            for g in circ.gates:
+            for before, g in zip((None,) + circ.gates, circ.gates):
                 if g.kind is GateKind.CNOT:
+                    if before is not None and before.kind is GateKind.CNOT:
+                        # two relabellings composed with no step between them
+                        seen.add("cnot after cnot")
                     seen.add("cnot down" if g.targets[0] < g.targets[1] else "cnot up")
                     if abs(g.targets[0] - g.targets[1]) > 1:
                         seen.add("cnot non-adjacent")
@@ -252,8 +256,9 @@ class TestCompiledSweep:
             if len(slots) > len(set(slots)):
                 seen.add("shared slot")
             seen.add(f"last {circ.gates[-1].kind.value}")
-        assert seen == {"cnot down", "cnot up", "cnot non-adjacent", "unitary 1", "unitary 2",
-                        "shared slot", "last ry", "last phase", "last cnot", "last unitary"}
+        assert seen == {"cnot down", "cnot up", "cnot non-adjacent", "cnot after cnot", "unitary 1",
+                        "unitary 2", "unitary 3", "shared slot", "last ry", "last phase", "last cnot",
+                        "last unitary"}
 
 
 class TestSweepMemo:
