@@ -126,6 +126,13 @@ def _parse_hamiltonian(terms, n_qubits: int) -> PauliHamiltonian:
         raise ConfigError(f"bad hamiltonian terms: {exc}") from exc
 
 
+def _json_number(value, what: str) -> float:
+    """A number from the config file; JSON booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -154,11 +161,14 @@ def _problem_from_args(args) -> tuple[str, PauliHamiltonian, AnsatzCircuit, tupl
     try:
         circ = _parse_circuit(doc["circuit"])
         hamiltonian = _parse_hamiltonian(doc["hamiltonian"], circ.n_qubits)
-        theta0 = tuple(float(x) for x in doc["theta0"])
+        theta0 = tuple(_json_number(x, "theta0 entry") for x in doc["theta0"])
         check_parameters(circ, theta0)
+        max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
+        if not max_steps.is_integer():
+            raise ConfigError(f"max_steps must be a whole number, got {max_steps!r}")
         defaults = {
-            "eta": float(doc.get("eta", 0.05)),
-            "max_steps": int(doc.get("max_steps", 100)),
+            "eta": _json_number(doc.get("eta", 0.05), "eta"),
+            "max_steps": int(max_steps),
             "preset": None,
         }
     except KeyError as exc:

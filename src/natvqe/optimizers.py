@@ -163,7 +163,7 @@ def solve_regularized(
             # a metric with no positive eigenvalue has pseudo-inverse 0: a zero step
             keep = (w > 0.0) & (w >= policy.cut * w[-1])
             x = v[:, keep] @ ((v[:, keep].T @ g) / w[keep])
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ArithmeticError("regularized solve produced non-finite values")
     return x
 
@@ -232,7 +232,7 @@ def run(
     steps: list[TrajectoryStep] = []
     k = 0
     while True:
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             reason = TerminalReason.NON_FINITE
             break
         value, grad = energy_and_gradient(hamiltonian, circ, theta)

@@ -22,6 +22,21 @@ round-off seeds the plateau escape.  An ``einsum`` sweep, which differs from
 this one only in the last bit of some amplitudes, takes 450 natural-gradient
 steps to escape instead of the 487 that tensordot's arithmetic gives.
 
+Tangent row i is exactly zero until the first gate of slot i, so a step
+multiplies only a prefix of the batch: the state row, every tangent row up to
+the highest slot opened so far and one stand-in zero row, at most m + 1 rows.
+When a gate opens a slot beyond the prefix, the rows it adds are copies of the
+stand-in, made after the step's dot and before the generator's contribution
+is added.  This keeps the bits of the full batch.  Each row of a ``np.dot``
+product is the same whatever the row count, as long as there are at least two
+rows (numpy sends a one-row product to gemv, which rounds differently from
+gemm), and the stand-in has gone through every gate, so it carries the signed
+zeros that the full product gives the rows it has not reached yet (a plain
++0.0 row would differ in the sign of some zeros).  The ry and phase matrices
+are built once per sweep: one sin, cos and exp over all their angles, and one
+stacked product with the generators for the derivatives, bit for bit the
+matrices that building each gate alone gives.
+
 A state is its read-only complex amplitude array, of length 2**n.  Every
 circuit also keeps its last ``state_and_tangents`` result, keyed by the bytes
 of theta, so the energy, gradient and metrics at one point share a single
@@ -65,6 +80,8 @@ _RY_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 _PHASE_GENERATOR = np.array([[0.0, 0.0], [0.0, 2.0j]], dtype=complex)
 
 _PARAMETRIZED = (GateKind.RY, GateKind.PHASE)
+_ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
+_TWO_I = np.array(2.0j)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -135,8 +152,17 @@ def fixed_unitary(matrix: np.ndarray, *targets: int) -> Gate:
 class AnsatzCircuit:
     """Ordered gate list defining U(theta) on ``n_qubits`` with ``n_params`` slots.
 
-    ``_plan`` is the compiled sweep ``(steps, restore)``: one ``(gather, gate)``
-    step per gate other than CNOT, and the gather back to natural order.
+    ``_plan`` is the compiled sweep ``(steps, restore, start, unitary_plan)``:
+    one step per gate other than CNOT, the gather back to natural order, the
+    read-only starting batch (the state |0..0> and the stand-in zero row) and
+    what ``_unitaries`` needs to build the ry and phase matrices.  A step
+    multiplies the whole batch it is handed: the state row, every tangent row
+    up to the highest slot opened so far and one stand-in zero row, at most
+    m + 1 rows.  The stand-in has gone through every gate so far, so it holds
+    the zeros, signs included, that the rows not yet reached hold in a
+    full-batch sweep; a step that opens a slot beyond the batch copies it
+    into the new rows after its dot.  A batch short of m + 1 rows has at
+    least two, so BLAS gives each row the bits it has in the full batch.
     ``_memo`` holds the last ``state_and_tangents`` result as
     ``(theta bytes, phi, tangents)``.
     """
@@ -161,7 +187,7 @@ class AnsatzCircuit:
         missing = set(range(self.n_params)) - used
         if missing:
             raise ValueError(f"parameter slots never used by any gate: {sorted(missing)}")
-        object.__setattr__(self, "_plan", _compile(self.gates, self.n_qubits))
+        object.__setattr__(self, "_plan", _compile(self.gates, self.n_qubits, self.n_params))
 
 
 def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
@@ -177,29 +203,31 @@ def check_parameters(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
     arr = np.asarray(theta, dtype=float)
     if arr.shape != (circ.n_params,):
         raise ValueError(f"circuit takes {circ.n_params} parameter(s), got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("parameters must be finite")
     return arr
 
 
-def _gate_unitary(gate: Gate, theta: np.ndarray) -> np.ndarray:
-    if gate.kind is GateKind.RY:
-        t = theta[gate.param_index]
-        c, s = np.cos(t), np.sin(t)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind is GateKind.PHASE:
-        t = theta[gate.param_index]
-        return np.array([[1.0, 0.0], [0.0, np.exp(2.0j * t)]], dtype=complex)
-    return gate.matrix
+def _unitaries(theta: np.ndarray, slots: np.ndarray, rotations: bool, phases: bool,
+               table: np.ndarray, generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transposes of every parametrized gate's unitary and of its d/dtheta, in gate order.
 
-
-def _gate_tangent(gate: Gate, unitary: np.ndarray) -> np.ndarray | None:
-    """d/dtheta of the gate unitary, or None for fixed gates."""
-    if gate.kind is GateKind.RY:
-        return _RY_GENERATOR @ unitary
-    if gate.kind is GateKind.PHASE:
-        return _PHASE_GENERATOR @ unitary
-    return None
+    Gate j has the angle ``theta[slots[j]]``.  One sin, cos and exp over the
+    angles fill the values ``[1, 0, cos, sin, -sin, exp(2i*theta)]`` (the
+    trigonometric part only if there are ``rotations``, the exponential only
+    if there are ``phases``), ``table`` gathers them into a ``(G, 2, 2)``
+    stack, and one stacked product with ``generators`` gives the derivatives.
+    Each matrix has the bits of building its gate alone.
+    """
+    angles = theta[slots]
+    values = [_ONE_ZERO]
+    if rotations:
+        sines = np.sin(angles)
+        values += (np.cos(angles), sines, -sines)
+    if phases:
+        values.append(np.exp(_TWO_I * angles))
+    unitaries = np.concatenate(values).take(table).reshape(-1, 2, 2)
+    return unitaries.transpose(0, 2, 1), np.matmul(generators, unitaries).transpose(0, 2, 1)
 
 
 def _gather(held: np.ndarray, want: np.ndarray) -> np.ndarray | None:
@@ -213,16 +241,46 @@ def _gather(held: np.ndarray, want: np.ndarray) -> np.ndarray | None:
     return index
 
 
-def _compile(gates: tuple[Gate, ...], n: int) -> tuple:
-    """The sweep as ``(steps, restore)``; ``held[j]`` is the amplitude column j holds.
+def _unitary_plan(params: list[Gate]) -> tuple:
+    """The arguments of ``_unitaries`` after theta, for the parametrized gates in gate order."""
+    g = len(params)
+    rotations = any(gate.kind is GateKind.RY for gate in params)
+    phases = any(gate.kind is GateKind.PHASE for gate in params)
+    cos, sin, minus_sin = 2, 2 + g, 2 + 2 * g
+    exp = 2 + 3 * g if rotations else 2
+    table = []
+    for j, gate in enumerate(params):
+        if gate.kind is GateKind.RY:
+            table += [cos + j, minus_sin + j, sin + j, cos + j]
+        else:
+            table += [0, 1, 1, exp + j]
+    slots = np.array([gate.param_index for gate in params], dtype=np.intp)
+    generators = [_RY_GENERATOR if gate.kind is GateKind.RY else _PHASE_GENERATOR
+                  for gate in params]
+    return (slots, rotations, phases, np.array(table, dtype=np.intp),
+            np.array(generators, dtype=complex).reshape(-1, 2, 2))
 
-    A CNOT flips the target bit of every held index whose control bit is set.
-    Any other gate is a step ``(gather, gate)``, where ``out[:, j] =
+
+def _compile(gates: tuple[Gate, ...], n: int, m: int) -> tuple:
+    """The sweep as ``(steps, restore, start, unitary_plan)``; see ``AnsatzCircuit``.
+
+    ``held[j]`` is the amplitude column j holds.  A CNOT flips the target bit
+    of every held index whose control bit is set.  Any other gate is a step
+    ``(gather, index, matrix, offset, grow)``, where ``out[:, j] =
     in[:, gather[j]]`` puts the other qubits first, in natural order, and the
-    targets last, in listed order.
+    targets last, in listed order.  A fixed gate carries its ``matrix``,
+    transposed.  The parametrized gate number ``index`` adds its pushed state
+    row at flat row ``offset``, and if it opens a slot beyond the batch it
+    carries ``grow``, the row gather that copies the stand-in into the new
+    rows.
     """
     held = natural = np.arange(2 ** n)
-    steps = []
+    half = 2 ** (n - 1)
+    start = np.zeros((min(2, m + 1), 2 ** n), dtype=complex)
+    start[0, 0] = 1.0
+    start.setflags(write=False)
+    rows = len(start)
+    steps, index = [], 0
     for gate in gates:
         if gate.kind is GateKind.CNOT:
             control, target = (1 << (n - 1 - q) for q in gate.targets)
@@ -230,9 +288,21 @@ def _compile(gates: tuple[Gate, ...], n: int) -> tuple:
             continue
         order = [q for q in range(n) if q not in gate.targets] + list(gate.targets)
         want = natural.reshape((2,) * n).transpose(order).ravel()
-        steps.append((_gather(held, want), gate))
+        if gate.kind in _PARAMETRIZED:
+            grown = min(gate.param_index + 3, m + 1)
+            grow = None
+            if grown > rows:
+                grow = np.minimum(np.arange(grown), rows - 1)
+                grow.setflags(write=False)
+                rows = grown
+            step = (index, None, (1 + gate.param_index) * half, grow)
+            index += 1
+        else:
+            step = (None, gate.matrix.T, None, None)
+        steps.append((_gather(held, want), *step))
         held = want
-    return tuple(steps), _gather(held, natural)
+    unitary_plan = _unitary_plan([g for g in gates if g.kind in _PARAMETRIZED])
+    return tuple(steps), _gather(held, natural), start, unitary_plan
 
 
 def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -251,24 +321,24 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     memo = circ._memo
     if memo is not None and memo[0] == key:
         return memo[1], memo[2]
-    rows, n = circ.n_params + 1, circ.n_qubits
-    half = 2 ** (n - 1)
-    batch = np.zeros((rows, 2 ** n), dtype=complex)
-    batch[0, 0] = 1.0
-    steps, restore = circ._plan
-    for gather, gate in steps:
+    steps, restore, batch, unitary_plan = circ._plan
+    dim = batch.shape[1]
+    half = dim // 2
+    unitaries, derivatives = _unitaries(theta, *unitary_plan)
+    for gather, index, matrix, offset, grow in steps:
         if gather is not None:
             batch = batch.take(gather, axis=1)
-        unitary = _gate_unitary(gate, theta)
-        tangent = _gate_tangent(gate, unitary)
-        flat = batch.reshape(-1, len(unitary))
-        if tangent is not None:
-            pushed = np.dot(flat[:half], tangent.T)
-        flat = np.dot(flat, unitary.T)
-        if tangent is not None:
-            row = (1 + gate.param_index) * half
-            flat[row:row + half] += pushed
-        batch = flat.reshape(rows, -1)
+        if matrix is not None:
+            batch = np.dot(batch.reshape(-1, len(matrix)), matrix).reshape(-1, dim)
+            continue
+        flat = batch.reshape(-1, 2)
+        pushed = np.dot(flat[:half], derivatives[index])
+        flat = np.dot(flat, unitaries[index])
+        if grow is not None:
+            # the new rows copy the stand-in, which the dot took through this gate
+            flat = flat.reshape(-1, dim).take(grow, axis=0).reshape(-1, 2)
+        flat[offset:offset + half] += pushed
+        batch = flat.reshape(-1, dim)
     flat = batch if restore is None else batch.take(restore, axis=1)
     flat.setflags(write=False)
     phi, tangents = flat[0], flat[1:]
@@ -279,8 +349,10 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
 def build_state(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
     """Evaluate U(theta)|0..0> as a read-only amplitude array (norm 1 within NORM_TOL).
 
-    It is the state row of ``state_and_tangents``, the same array: a sweep of
-    the state row alone would round differently in BLAS.
+    It is the state row of ``state_and_tangents``, the same array.  A sweep
+    of the state row alone would not give its bits: a gate on every qubit
+    (any gate of a one-qubit circuit) would make that a one-row product,
+    which numpy sends to gemv, and gemv rounds differently from gemm.
     """
     amps, _ = state_and_tangents(circ, theta)
     if abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:

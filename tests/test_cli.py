@@ -154,9 +154,15 @@ class TestRunCommand:
         ([], {"max_steps": 0}),
         ([], {"eta": "fast"}),
         ([], {"eta": None}),
+        ([], {"max_steps": 2.5}),
+        ([], {"max_steps": True}),
+        ([], {"max_steps": "3"}),
+        ([], {"eta": True}),
+        ([], {"theta0": [-0.2, True, 0.0, 0.0]}),
     ], ids=["steps-0", "eta-0", "eta-inf", "eta-nan", "inverse-eta-negative", "epsilon-0",
             "pinv-cut-inf", "theta0-length", "config-max-steps-0", "config-eta-text",
-            "config-eta-null"])
+            "config-eta-null", "config-max-steps-fraction", "config-max-steps-bool",
+            "config-max-steps-text", "config-eta-bool", "config-theta0-bool"])
     def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
         config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
         out = tmp_path / "out"

@@ -172,14 +172,33 @@ def _tensordot_apply(mat, targets, batch):
     return np.moveaxis(out, range(out.ndim - k, out.ndim), axes)
 
 
-def tensordot_sweep(circ, theta):
-    """Reference sweep: one tensordot + moveaxis per gate, generator pushed through row 0."""
+def _permute_cnot(targets, batch):
+    """Apply a CNOT by moving amplitudes, so every zero keeps its sign."""
+    control, target = targets
+    where = [slice(None)] * batch.ndim
+    where[1 + control] = 1
+    out = batch.copy()
+    axis = 1 + target if target < control else target  # the control axis is gone
+    out[tuple(where)] = np.flip(batch[tuple(where)], axis=axis)
+    return out
+
+
+def tensordot_sweep(circ, theta, permute_cnots=False):
+    """Reference sweep: one tensordot + moveaxis per gate, generator pushed through row 0.
+
+    With ``permute_cnots`` a CNOT moves amplitudes instead of being
+    contracted, as the compiled sweep's relabelling does, so the two agree
+    byte for byte, signed zeros included.
+    """
     theta = np.asarray(theta, dtype=float)
     n, m = circ.n_qubits, circ.n_params
     batch = np.zeros((m + 1, 2 ** n), dtype=complex)
     batch[0, 0] = 1.0
     batch = batch.reshape((m + 1,) + (2,) * n)
     for gate in circ.gates:
+        if permute_cnots and gate.kind is GateKind.CNOT:
+            batch = _permute_cnot(gate.targets, batch)
+            continue
         unitary = _tensordot_unitary(gate, theta)
         generator = {GateKind.RY: _RY_GENERATOR, GateKind.PHASE: _PHASE_GENERATOR}.get(gate.kind)
         pushed = None
@@ -199,11 +218,17 @@ def random_unitary(rng, dim):
 
 
 def random_circuit(rng):
-    """1-6 qubits; ry, phase, cnot, 1- to 3-qubit fixed unitaries; slots drawn with repeats."""
+    """1-6 qubits; ry, phase, cnot, 1- to 3-qubit fixed unitaries; slots drawn with repeats.
+
+    A fifth of the circuits start with a fixed gate, the rest with an ry.
+    """
     n = int(rng.integers(1, 7))
     slots = int(rng.integers(1, 5))
     kinds = ["ry", "phase", "u1"] + (["cnot", "u2"] if n > 1 else []) + (["u3"] if n > 2 else [])
-    gates = [ry(int(rng.integers(n)), int(rng.integers(slots)))]
+    gates = []
+    if rng.random() < 0.2:
+        gates.append(fixed_unitary(random_unitary(rng, 2), int(rng.integers(n))))
+    gates.append(ry(int(rng.integers(n)), int(rng.integers(slots))))
     for _ in range(int(rng.integers(1, 13))):
         kind = rng.choice(kinds)
         if kind == "ry":
@@ -236,6 +261,9 @@ class TestCompiledSweep:
                 # a permutation may flip the sign of a zero, which array_equal ignores
                 assert np.array_equal(phi, ref_phi)
                 assert np.array_equal(tangents, ref_tangents)
+                moved_phi, moved_tangents = tensordot_sweep(circ, theta, permute_cnots=True)
+                assert phi.tobytes() == moved_phi.tobytes()
+                assert tangents.tobytes() == moved_tangents.tobytes()
             else:
                 assert phi.tobytes() == ref_phi.tobytes()
                 assert tangents.tobytes() == ref_tangents.tobytes()
@@ -256,9 +284,62 @@ class TestCompiledSweep:
             if len(slots) > len(set(slots)):
                 seen.add("shared slot")
             seen.add(f"last {circ.gates[-1].kind.value}")
+            # the cases that move the batch's stand-in row around
+            if circ.gates[0].kind is GateKind.UNITARY:
+                seen.add("fixed gate before the first parameter")
+            if circ.n_params > 1 and slots[0] == circ.n_params - 1:
+                seen.add("first gate uses the highest slot")
+            if any(s < max(slots[:k]) and s not in slots[:k] for k, s in enumerate(slots) if k):
+                seen.add("slot opened out of order")
         assert seen == {"cnot down", "cnot up", "cnot non-adjacent", "cnot after cnot", "unitary 1",
                         "unitary 2", "unitary 3", "shared slot", "last ry", "last phase", "last cnot",
-                        "last unitary"}
+                        "last unitary", "slot opened out of order",
+                        "fixed gate before the first parameter", "first gate uses the highest slot"}
+
+    def test_wide_circuit_bit_identical_to_tensordot_sweep(self):
+        # the benchmark's 6-qubit shape: per layer an ry/phase pair on every qubit in
+        # seeded order, then a seeded CNOT chain; m = 36 rows grow one slot at a time
+        rng = np.random.default_rng(36)
+        gates, slot = [], 0
+        for _ in range(3):
+            for qubit in range(6):
+                pair = [ry(qubit, slot), phase(qubit, slot + 1)]
+                gates += pair[::-1] if rng.random() < 0.5 else pair
+                slot += 2
+            chain = rng.permutation(6)
+            gates += [cnot(int(c), int(t)) for c, t in zip(chain, chain[1:])]
+        circ = circuit(6, gates)
+        assert circ.n_params == 36
+        for k in range(50):
+            uniform = rng.uniform(-np.pi, np.pi, 36)
+            quarter_turns = rng.integers(-4, 5, 36) * (np.pi / 2)
+            signed_zeros = rng.choice([0.0, -0.0], 36)
+            mixed = rng.random(36) < 0.5
+            theta = [uniform, quarter_turns, signed_zeros, np.where(mixed, signed_zeros, uniform),
+                     np.where(mixed, signed_zeros, quarter_turns)][k % 5]
+            phi, tangents = state_and_tangents(circ, theta)
+            ref_phi, ref_tangents = tensordot_sweep(circ, theta, permute_cnots=True)
+            assert phi.tobytes() == ref_phi.tobytes()
+            assert tangents.tobytes() == ref_tangents.tobytes()
+            assert phi.strides == ref_phi.strides and tangents.strides == ref_tangents.strides
+            contracted_phi, contracted_tangents = tensordot_sweep(circ, theta)
+            assert np.array_equal(phi, contracted_phi)
+            assert np.array_equal(tangents, contracted_tangents)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blas_rows_do_not_depend_on_the_row_count(self, k):
+        # the sweep multiplies a prefix of the batch's rows; each row must round as in
+        # the full product, for every prefix of at least two rows (one row goes to gemv)
+        rng = np.random.default_rng(k)
+        rows = 37 * 2 ** (6 - k)
+        x = rng.normal(size=(rows, 2 ** k)) + 1j * rng.normal(size=(rows, 2 ** k))
+        x[rng.random(rows) < 0.2] = rng.choice([0.0, -0.0], size=2 ** k)
+        x.real[rng.random(x.shape) < 0.1] = -0.0
+        diagonal = np.diag(np.exp(1j * rng.uniform(-3, 3, 2 ** k)))
+        for unitary in (random_unitary(rng, 2 ** k), diagonal):
+            full = np.dot(x, unitary.T)
+            for m in range(2, rows + 1):
+                assert np.dot(x[:m], unitary.T).tobytes() == full[:m].tobytes()
 
 
 class TestSweepMemo:
