@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of natvqe's outputs, to show that a change keeps their bytes.
+
+Run it from two checkouts and diff the two outputs; no line may differ:
+
+    python3 scripts/output_digests.py > after.txt
+    (cd ../other-checkout && python3 scripts/output_digests.py) > before.txt
+    diff before.txt after.txt
+
+It imports natvqe from the ``src/`` beside this script, so copy the script
+into an older checkout to digest that tree. It digests
+
+* every file ``scripts/reproduce_figures.py`` writes, and its standard output;
+* every JSON trajectory of the benchmark's ``wide`` workload (one pass,
+  ``natvqe run --config ... --format json``) at each seed;
+* F, A, FC, the outcome probabilities p and the singularity report of F at
+  every point of the benchmark's ``landscape`` workload at each seed, one
+  digest per quantity over all points in order.
+
+The workloads come from ``perfbench/workloads.py``, which is only imported.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from natvqe import observables, states  # noqa: E402
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def figures_digests(tmp: Path) -> list[str]:
+    out = tmp / "figures"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"),
+                           "--out-dir", str(out)], env=env, cwd=tmp, check=True,
+                          stdout=subprocess.PIPE)
+    # the last line names the output directory, which differs from run to run
+    stdout = proc.stdout.replace(str(out).encode(), b"<out>")
+    lines = [f"figures stdout {sha(stdout)}"]
+    lines += [f"figures {path.name} {sha(path.read_bytes())}" for path in sorted(out.iterdir())]
+    return lines
+
+
+def wide_digests(seed: int, tmp: Path) -> list[str]:
+    workdir = tmp / f"wide{seed}"
+    workdir.mkdir()
+    wide = workloads.Wide(seed, workdir)
+    lines = []
+    for index, unit in wide.units():
+        code = unit()
+        if code != 0:
+            raise RuntimeError(f"wide seed {seed} circuit {index}: natvqe run exited {code}")
+        for path in sorted((workdir / f"out{index}").iterdir()):
+            lines.append(f"wide seed={seed} {path.name} {sha(path.read_bytes())}")
+    return lines
+
+
+def landscape_digests(seed: int, tmp: Path) -> list[str]:
+    landscape = workloads.Landscape(seed, tmp)
+    hashes = {name: hashlib.sha256() for name in ("F", "A", "FC", "p", "report")}
+    for (_, unit), (circ, hamiltonian, theta, _) in zip(landscape.units(), landscape.points):
+        f, a, fc, report = unit()
+        p = observables.outcome_distribution(observables.spectral_decompose(hamiltonian),
+                                             states.build_state(circ, theta)).probabilities
+        for name, values in (("F", f), ("A", a), ("FC", fc), ("p", p)):
+            hashes[name].update(np.ascontiguousarray(values).tobytes())
+        hashes["report"].update(repr(report).encode())
+    return [f"landscape seed={seed} {name} {h.hexdigest()}" for name, h in hashes.items()]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
+                        help="workload seeds for wide and landscape (default: 1 2)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        lines = figures_digests(tmp)
+        for seed in args.seeds:
+            lines += wide_digests(seed, tmp)
+            lines += landscape_digests(seed, tmp)
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -197,6 +198,8 @@ def _parse_theta(text: str, n_params: int) -> tuple[float, ...]:
         raise ConfigError(f"bad theta value: {exc}") from exc
     if len(values) != n_params:
         raise ConfigError(f"theta needs {n_params} component(s), got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"theta must be finite, got {text!r}")
     return values
 
 
@@ -266,23 +269,38 @@ def parse_trajectory_csv(text: str) -> tuple[list[TrajectoryStep], int]:
     return steps, n_params
 
 
+def _json_float(value: float) -> str:
+    """A float as ``json.dumps`` writes it: shortest round-trip, or NaN/Infinity/-Infinity."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
 def trajectory_to_json(trajectory: Trajectory, config_echo: dict) -> str:
-    doc = {
-        "config": config_echo,
-        "steps": [
-            {
-                "k": s.k,
-                "theta": list(s.theta),
-                "energy": s.energy,
-                "grad_norm": s.grad_norm,
-                "det_metric": s.det_metric,
-                "min_eig_metric": s.min_eig_metric,
-            }
-            for s in trajectory.steps
-        ],
-        "terminal_reason": trajectory.terminal_reason.value,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps({"config": ..., "steps": [...], "terminal_reason": ...},
+    indent=2, sort_keys=True) + "\\n"``.
+
+    The step records are formatted directly: the encoder's pure-Python indenting
+    path costs more per number than ``float.__repr__``.  The config echo goes
+    through ``json.dumps`` and is indented one level deeper.
+    """
+    config = json.dumps(config_echo, indent=2, sort_keys=True).replace("\n", "\n  ")
+    records = []
+    for s in trajectory.steps:
+        theta = ",\n        ".join(map(_json_float, s.theta))
+        records.append(
+            "    {\n"
+            f'      "det_metric": {_json_float(s.det_metric)},\n'
+            f'      "energy": {_json_float(s.energy)},\n'
+            f'      "grad_norm": {_json_float(s.grad_norm)},\n'
+            f'      "k": {s.k:d},\n'
+            f'      "min_eig_metric": {_json_float(s.min_eig_metric)},\n'
+            '      "theta": [\n'
+            f"        {theta}\n"
+            "      ]\n"
+            "    }"
+        )
+    reason = json.dumps(trajectory.terminal_reason.value)
+    return (f'{{\n  "config": {config},\n  "steps": [\n' + ",\n".join(records)
+            + f'\n  ],\n  "terminal_reason": {reason}\n}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +323,8 @@ def cmd_run(args) -> int:
     max_steps = args.steps if args.steps is not None else defaults["max_steps"]
     if max_steps < 1:
         raise ConfigError("max_steps must be at least 1")
+    if not (0.0 <= args.grad_tol < math.inf):
+        raise ConfigError(f"grad_tol must be finite and non-negative, got {args.grad_tol}")
     try:
         schedule = _schedule_from_args(args, eta)
         policy = _policy_from_args(args)
@@ -361,7 +381,10 @@ def _format_matrix(values: np.ndarray) -> str:
 
 
 def _print_metric(label: str, metric: MetricMatrix, rank_tol: float) -> None:
-    report = singularity_report(metric, rank_tol)
+    try:
+        report = singularity_report(metric, rank_tol)
+    except ValueError as exc:  # the only ValueError it raises is a bad rank_tol
+        raise ConfigError(str(exc)) from exc
     print(f"{label}:")
     print(_format_matrix(metric.values))
     print(f"  determinant    = {report.determinant!r}")

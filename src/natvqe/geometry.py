@@ -19,6 +19,7 @@ along which the state (or the outcome distribution) does not move.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -75,12 +76,13 @@ class MetricMatrix:
             raise ValueError("metric must be a square matrix")
         if vals.shape[0] == 0:
             raise ValueError("metric is empty: the circuit has no parameters")
-        if np.max(np.abs(vals - vals.T)) > SYMMETRY_TOL:
+        if abs(vals - vals.T).max() > SYMMETRY_TOL:
             raise ValueError("metric must be symmetric")
         eigs = np.linalg.eigvalsh(vals)
+        lowest, highest = float(eigs[0]), float(eigs[-1])
         # tolerance scales with the matrix so near-divergent classical metrics validate
-        if eigs[0] < -PSD_TOL * max(1.0, eigs[-1]):
-            raise ValueError(f"metric is not positive semidefinite (min eig {eigs[0]:.3e})")
+        if lowest < -PSD_TOL * max(1.0, highest):
+            raise ValueError(f"metric is not positive semidefinite (min eig {lowest:.3e})")
         vals = np.array(vals, copy=True)
         vals.setflags(write=False)
         eigs.setflags(write=False)
@@ -104,16 +106,16 @@ def fubini_study_metric(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMa
     between (i, j) and (j, i)).
     """
     phi, tangents = state_and_tangents(circ, theta)
-    gram = tangents.conj() @ tangents.T
-    overlap = tangents.conj() @ phi
-    values = np.real(gram) - np.real(np.outer(overlap, overlap.conj()))
+    bras = tangents.conj()
+    overlap = bras @ phi
+    values = (bras @ tangents.T).real - (overlap[:, None] * overlap.conj()).real
     return MetricMatrix(MetricKind.FUBINI_STUDY, _symmetrized(values))
 
 
 def ite_matrix(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMatrix:
     """Gram matrix Re<d_i phi|d_j phi> used by the imaginary-time-evolution update."""
     _, tangents = state_and_tangents(circ, theta)
-    values = np.real(tangents.conj() @ tangents.T)
+    values = (tangents.conj() @ tangents.T).real
     return MetricMatrix(MetricKind.ITE, _symmetrized(values))
 
 
@@ -134,7 +136,7 @@ def classical_fisher_metric(
     """
     phi, tangents = state_and_tangents(circ, theta)
     coeffs, p = decomposition.expand(phi)
-    overlaps = np.real((tangents.conj() @ decomposition.basis) * coeffs)
+    overlaps = ((tangents.conj() @ decomposition.basis) * coeffs).real
     dp = 2.0 * np.add.reduceat(overlaps, decomposition.starts, axis=1)
     kept = p > PROB_FLOOR
     if np.count_nonzero(kept) < 2:
@@ -155,12 +157,17 @@ class SingularityReport:
 
 
 def singularity_report(metric: MetricMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SingularityReport:
-    """Determinant, smallest eigenvalue, and rank at ``rank_tol`` (relative to the largest eigenvalue)."""
+    """Determinant, smallest eigenvalue, and rank at ``rank_tol`` (relative to the largest eigenvalue).
+
+    ``rank_tol`` must be finite and non-negative.
+    """
+    if not (0.0 <= rank_tol < math.inf):
+        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
     eigs = metric.eigenvalues
     scale = max(float(eigs[-1]), 0.0)
-    rank = int(np.sum(eigs > rank_tol * scale)) if scale > 0.0 else 0
+    rank = int(np.count_nonzero(eigs > rank_tol * scale)) if scale > 0.0 else 0
     return SingularityReport(
-        determinant=float(np.prod(eigs)),
+        determinant=float(eigs.prod()),
         min_eigenvalue=float(eigs[0]),
         rank=rank,
         is_singular=rank < metric.dim,

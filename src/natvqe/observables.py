@@ -82,10 +82,10 @@ def dense_matrix(hamiltonian: PauliHamiltonian) -> np.ndarray:
 
 
 def _real_expectation(vec: np.ndarray, matvec: np.ndarray) -> float:
-    value = np.vdot(vec, matvec)
+    value = complex(np.vdot(vec, matvec))
     if abs(value.imag) >= ENERGY_IMAG_TOL:
         raise ArithmeticError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return value.real
 
 
 def energy(hamiltonian: PauliHamiltonian, state: np.ndarray) -> float:
@@ -113,7 +113,7 @@ def energy_and_gradient(
     phi, tangents = state_and_tangents(circ, theta)
     hphi = dense_matrix(hamiltonian) @ phi
     value = _real_expectation(phi, hphi)
-    grad = 2.0 * np.real(tangents.conj() @ hphi)
+    grad = 2.0 * (tangents.conj() @ hphi).real
     return value, grad
 
 

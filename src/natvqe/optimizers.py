@@ -9,6 +9,7 @@ metrics produce finite (if large) steps instead of NaN.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -199,8 +200,7 @@ def step(
     """One parameter update theta - eta * M^{-1} grad (M = identity for VANILLA)."""
     _require_parameters(circ)
     theta = check_parameters(circ, theta)
-    if not (eta > 0.0):
-        raise ValueError("learning rate must be positive")
+    _require_positive("eta", eta)
     _, grad = energy_and_gradient(hamiltonian, circ, theta)
     metric = _metric_for(kind, hamiltonian, circ, theta)
     direction = grad if metric is None else solve_regularized(metric, grad, policy)
@@ -224,27 +224,37 @@ def run(
     inputs give bit-identical trajectories.  It stops after ``max_steps``
     updates, when the gradient norm falls below ``grad_tol`` (if positive), or
     as soon as a non-finite parameter, energy, or gradient appears.
+    ``max_steps`` must be a whole number and ``grad_tol`` finite and >= 0.
     """
+    if not (math.isfinite(max_steps) and max_steps == int(max_steps)):
+        raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if not (0.0 <= grad_tol < math.inf):
+        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
     _require_parameters(circ)
     theta = check_parameters(circ, theta0)
     steps: list[TrajectoryStep] = []
     k = 0
+    # An iterate is a few microseconds of arithmetic on m <= ~40 numbers, so its
+    # scalars come from ndarray methods and math: numpy's Python-level helpers
+    # (np.linalg.norm, np.prod, np.isfinite) cost more and give the same bits.
     while True:
-        if not np.isfinite(theta).all():
+        record = tuple(theta.tolist())
+        if not all(map(math.isfinite, record)):
             reason = TerminalReason.NON_FINITE
             break
         value, grad = energy_and_gradient(hamiltonian, circ, theta)
-        grad_norm = float(np.linalg.norm(grad))
+        # np.linalg.norm of a contiguous 1-d float array is sqrt(x.dot(x)): the same bits
+        grad_norm = math.sqrt(grad.dot(grad))
         metric = _metric_for(kind, hamiltonian, circ, theta)
         if metric is None:
             det, min_eig = 1.0, 1.0
         else:
             eigs = metric.eigenvalues
-            det, min_eig = float(np.prod(eigs)), float(eigs[0])
-        steps.append(TrajectoryStep(k, tuple(float(x) for x in theta), value, grad_norm, det, min_eig))
-        if not (np.isfinite(value) and np.isfinite(grad_norm)):
+            det, min_eig = float(eigs.prod()), float(eigs[0])
+        steps.append(TrajectoryStep(k, record, value, grad_norm, det, min_eig))
+        if not (math.isfinite(value) and math.isfinite(grad_norm)):
             reason = TerminalReason.NON_FINITE
             break
         if grad_tol > 0.0 and grad_norm < grad_tol:

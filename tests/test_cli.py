@@ -7,8 +7,29 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from natvqe import ConstantRate, OptimizerKind, load_preset, run
-from natvqe.cli import _parse_circuit, csv_header, main, parse_trajectory_csv, trajectory_to_csv
+from natvqe import (
+    ConstantRate,
+    OptimizerKind,
+    TerminalReason,
+    circuit,
+    cnot,
+    fixed_unitary,
+    load_preset,
+    pauli_sum,
+    phase,
+    run,
+    ry,
+)
+from natvqe.cli import (
+    _gate_echo,
+    _parse_circuit,
+    csv_header,
+    main,
+    parse_trajectory_csv,
+    trajectory_to_csv,
+    trajectory_to_json,
+)
+from natvqe.optimizers import Trajectory, TrajectoryStep
 
 CUSTOM_CONFIG = {
     "hamiltonian": [[0.4, "ZI"], [0.4, "IZ"], [0.2, "XX"]],
@@ -159,10 +180,14 @@ class TestRunCommand:
         ([], {"max_steps": "3"}),
         ([], {"eta": True}),
         ([], {"theta0": [-0.2, True, 0.0, 0.0]}),
+        (["--grad-tol", "nan"], {}),
+        (["--grad-tol", "-1"], {}),
+        (["--grad-tol", "inf"], {}),
     ], ids=["steps-0", "eta-0", "eta-inf", "eta-nan", "inverse-eta-negative", "epsilon-0",
             "pinv-cut-inf", "theta0-length", "config-max-steps-0", "config-eta-text",
             "config-eta-null", "config-max-steps-fraction", "config-max-steps-bool",
-            "config-max-steps-text", "config-eta-bool", "config-theta0-bool"])
+            "config-max-steps-text", "config-eta-bool", "config-theta0-bool",
+            "grad-tol-nan", "grad-tol-negative", "grad-tol-inf"])
     def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
         config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
         out = tmp_path / "out"
@@ -252,11 +277,126 @@ class TestMetricCommand:
         assert main(["metric", "--preset", "h2-a", "--theta", "0.1,0.2"]) == 2
         assert "4 component" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
+    def test_non_finite_theta_is_config_error(self, theta, capsys):
+        assert main(["metric", "--preset", "h2-a", "--theta", theta]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rank_tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("kind", ["fs", "all"])
+    def test_bad_rank_tol_is_config_error(self, kind, rank_tol, capsys):
+        code = main(["metric", "--preset", "h2-a", "--kind", kind, "--rank-tol", rank_tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "rank_tol" in captured.err
+        assert captured.out == ""
+
     def test_degenerate_classical_is_runtime_error(self, capsys):
         code = main(["metric", "--preset", "qubit-a", "--theta",
                      f"{np.pi / 4},0", "--kind", "classical"])
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
+
+
+def reference_json(trajectory, config_echo):
+    """The document encoder that ``trajectory_to_json`` must match byte for byte."""
+    doc = {
+        "config": config_echo,
+        "steps": [
+            {
+                "k": s.k,
+                "theta": list(s.theta),
+                "energy": s.energy,
+                "grad_norm": s.grad_norm,
+                "det_metric": s.det_metric,
+                "min_eig_metric": s.min_eig_metric,
+            }
+            for s in trajectory.steps
+        ],
+        "terminal_reason": trajectory.terminal_reason.value,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def config_echo(circ, hamiltonian, theta0, preset):
+    return {
+        "preset": preset,
+        "hamiltonian": [[c, s] for c, s in hamiltonian.terms],
+        "circuit": {"n_qubits": circ.n_qubits, "gates": [_gate_echo(g) for g in circ.gates]},
+        "theta0": list(theta0),
+        "optimizer": "natural",
+        "schedule": {"kind": "constant", "eta": 0.05},
+        "regularization": {"kind": "eigenfloor", "epsilon": 1e-10},
+        "max_steps": 4,
+        "grad_tol": 0.0,
+    }
+
+
+def one_parameter_problem():
+    """m = 1, with a random fixed unitary in the echo; no preset."""
+    z = np.random.default_rng(8).normal(size=(2, 2, 2))
+    unitary = np.linalg.qr(z[0] + 1j * z[1])[0]
+    circ = circuit(1, [ry(0, 0), fixed_unitary(unitary, 0)])
+    return circ, pauli_sum(1, [(0.6, "Z"), (-0.8, "X")]), [0.3], None
+
+
+def wide_problem():
+    """6 qubits, 3 layers of ry and phase on every qubit and a CNOT chain: m = 36."""
+    gates, slot = [], 0
+    for _ in range(3):
+        for qubit in range(6):
+            gates += [ry(qubit, slot), phase(qubit, slot + 1)]
+            slot += 2
+        gates += [cnot(qubit, qubit + 1) for qubit in range(5)]
+    terms = [(0.7, "ZZIIII"), (-0.4, "XIXIYI"), (0.3, "IIIIIZ"), (0.25, "IYIIXI")]
+    theta0 = np.random.default_rng(9).uniform(-np.pi, np.pi, slot).tolist()
+    return circuit(6, gates), pauli_sum(6, terms), theta0, None
+
+
+def preset_problem():
+    p = load_preset("h2-a")
+    return p.circuit, p.hamiltonian, list(p.theta0), p.name
+
+
+class TestTrajectoryJson:
+    @pytest.mark.parametrize("problem", [one_parameter_problem, wide_problem, preset_problem],
+                             ids=["m1-unitary-preset-null", "m36", "preset-h2-a"])
+    def test_bytes_match_the_document_encoder(self, problem):
+        circ, hamiltonian, theta0, preset = problem()
+        traj = run(OptimizerKind.NATURAL_FS, hamiltonian, circ, theta0, ConstantRate(0.05),
+                   max_steps=4)
+        echo = config_echo(circ, hamiltonian, theta0, preset)
+        assert trajectory_to_json(traj, echo) == reference_json(traj, echo)
+
+    def test_non_finite_run(self):
+        h = pauli_sum(1, [(1e308, "Z")])
+        circ = circuit(1, [ry(0, 0)])
+        with np.errstate(over="ignore"):
+            traj = run(OptimizerKind.VANILLA, h, circ, [0.7], ConstantRate(0.05), max_steps=10)
+        assert traj.terminal_reason is TerminalReason.NON_FINITE
+        echo = config_echo(circ, h, [0.7], None)
+        assert trajectory_to_json(traj, echo) == reference_json(traj, echo)
+
+    def test_nan_and_infinities_in_every_field(self):
+        odd = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        steps = tuple(TrajectoryStep(k, (x, -x), x, odd[k - 1], odd[k - 2], odd[k - 3])
+                      for k, x in enumerate(odd))
+        traj = Trajectory(steps, TerminalReason.NON_FINITE)
+        circ, hamiltonian, theta0, _ = one_parameter_problem()
+        echo = config_echo(circ, hamiltonian, theta0, "qubit-a")
+        text = trajectory_to_json(traj, echo)
+        assert text == reference_json(traj, echo)
+        assert "NaN" in text and "-Infinity" in text
+
+    def test_cli_file_matches_the_document_encoder(self, tmp_path):
+        code = main(["run", "--preset", "h2-a", "--optimizer", "natural", "--steps", "5",
+                     "--format", "json", "--out-dir", str(tmp_path)])
+        assert code == 0
+        data = (tmp_path / "h2-a_natural.json").read_text()
+        p = load_preset("h2-a")
+        traj = run(OptimizerKind.NATURAL_FS, p.hamiltonian, p.circuit, p.theta0,
+                   ConstantRate(p.eta), max_steps=5)
+        assert data == reference_json(traj, json.loads(data)["config"])
 
 
 class TestPlotCommand:

@@ -1,10 +1,13 @@
 """Preset constants and optimizer comparisons."""
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from natvqe import (
+    DEFAULT_POLICY,
     ConstantRate,
     OptimizerKind,
     PRESET_NAMES,
@@ -118,3 +121,37 @@ class TestCompare:
         report = compare(p, [V], max_steps=2000)
         tail = report.results[V].trajectory.energies()[-400:]
         assert np.all(np.abs(tail - p.reference_energy) < 0.01)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_table():
+    """{(preset, optimizer): steps} from the README's steps-to-threshold table ('-' = not run)."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Case-study results\n")[1]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+    header = [cell.strip() for cell in rows[0]]
+    table = {}
+    for row in rows[2:]:
+        cells = [cell.strip() for cell in row]
+        for kind, cell in zip(header[1:], cells[1:]):
+            if cell != "-":
+                table[cells[0], kind] = int(cell)
+    return table
+
+
+def test_readme_steps_to_threshold_table():
+    """The README table is what scripts/reproduce_figures.py reproduces, bit for bit."""
+    spec = importlib.util.spec_from_file_location("reproduce_figures",
+                                                  ROOT / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    observed = {}
+    for name, kinds in script.CASES.items():
+        preset = load_preset(name)
+        report = compare(preset, kinds, threshold=script.THRESHOLDS[name],
+                         schedule=ConstantRate(preset.eta), policy=DEFAULT_POLICY)
+        for kind, result in report.results.items():
+            observed[name, kind.value] = result.steps_to_threshold
+    assert observed == readme_table()
+    assert observed["h2-plateau", "natural"] == 487

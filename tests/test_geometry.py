@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from natvqe import (
     MetricUndefinedError,
@@ -36,6 +37,7 @@ from natvqe.geometry import PROB_FLOOR, MetricKind, MetricMatrix, psd_order_chec
 from natvqe.observables import outcome_distribution
 from natvqe.states import Gate, GateKind
 from test_observables import projectors
+from test_optimizers import edge_floats, same_bits
 from test_states import random_circuit
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
@@ -239,6 +241,24 @@ class TestSingularityReport:
             assert report.rank == 3 or report.rank == 2
             expected = math.sin(2 * theta[0]) ** 2 * math.cos(2 * theta[1]) ** 2
             assert abs(separability_indicator(metric.values) - expected) < 1e-9
+
+    @pytest.mark.parametrize("rank_tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_rank_tol_rejected(self, h2_problem, rank_tol):
+        # unchecked, -1 counts this rank-3 F as rank 4 and nan counts it as rank 0
+        circ, _ = h2_problem
+        with pytest.raises(ValueError, match="rank_tol"):
+            singularity_report(fubini_study_metric(circ, [0.3, -0.2, 0.1, 0.5]), rank_tol)
+
+    def test_counts_and_product_match_numpy_helpers(self):
+        for circ, theta, rng in seeded_circuits(54, 200):
+            metric = fubini_study_metric(circ, theta)
+            rank_tol = 10.0 ** rng.uniform(-16.0, 0.0)
+            report = singularity_report(metric, rank_tol)
+            eigs = metric.eigenvalues
+            scale = max(float(eigs[-1]), 0.0)
+            expected = int(np.sum(eigs > rank_tol * scale)) if scale > 0.0 else 0
+            assert type(report.rank) is int and report.rank == expected
+            assert same_bits(report.determinant, float(np.prod(eigs)))
 
 
 class TestEntanglementEntropy:
@@ -635,3 +655,40 @@ class TestRandomCircuitInvariants:
             assert np.max(np.abs(f - jacobian.T @ f_distinct @ jacobian)) < 1e-12
             shared += jacobian.shape[0] > jacobian.shape[1]
         assert shared > 100
+
+
+# ---------------------------------------------------------------------------
+# The per-iterate expressions against the numpy helpers they replaced
+
+def _complex(parts):
+    z = parts[0].astype(complex)  # parts[0] + 1j * parts[1] would turn an infinite part into nan
+    z.imag = parts[1]
+    return z
+
+
+complex_vectors = arrays(np.float64, st.tuples(st.just(2), st.integers(1, 40)),
+                         elements=edge_floats(allow_nan=False)).map(_complex)
+
+
+class TestNumpyHelperRewrites:
+    @given(complex_vectors)
+    def test_broadcast_product_is_outer(self, overlap):
+        with np.errstate(all="ignore"):
+            new = (overlap[:, None] * overlap.conj()).real
+            old = np.real(np.outer(overlap, overlap.conj()))
+        assert new.tobytes() == old.tobytes()
+
+    @given(st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=edge_floats(allow_nan=True))))
+    def test_symmetry_gap_is_np_max_abs(self, values):
+        with np.errstate(all="ignore"):
+            assert same_bits(abs(values - values.T).max(), np.max(np.abs(values - values.T)))
+
+    def test_fubini_study_keeps_the_outer_product_bits(self):
+        for circ, theta, _ in seeded_circuits(56, 300):
+            phi, tangents = state_and_tangents(circ, theta)
+            gram = tangents.conj() @ tangents.T
+            overlap = tangents.conj() @ phi
+            old = np.real(gram) - np.real(np.outer(overlap, overlap.conj()))
+            old = 0.5 * (old + old.T)
+            assert fubini_study_metric(circ, theta).values.tobytes() == old.tobytes()

@@ -1,6 +1,10 @@
 """Update rules, regularized solves, and the iteration loop."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from natvqe import (
     ConstantRate,
@@ -22,9 +26,22 @@ from natvqe import (
 )
 from natvqe import optimizers
 from natvqe.geometry import MetricKind, MetricMatrix
+from natvqe.observables import energy_and_gradient
 from natvqe.optimizers import solve_regularized
 
 PI_12 = np.pi / 12
+
+# subnormals, signed zeros, values whose squares overflow and the largest double
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
+               1.3407807929942596e154, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def edge_floats(allow_nan):
+    return st.one_of(st.floats(allow_nan=allow_nan), st.sampled_from(EDGE_FLOATS))
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def metric_of(values):
@@ -118,6 +135,13 @@ class TestStep:
         with pytest.raises(ValueError, match="positive"):
             step(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], 0.0)
 
+    @pytest.mark.parametrize("eta", [np.inf, np.nan])
+    def test_learning_rate_must_be_finite(self, single_qubit, eta):
+        # unchecked, eta = inf turns every component of the step into +-inf
+        circ, h = single_qubit
+        with pytest.raises(ValueError, match="positive and finite"):
+            step(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], eta)
+
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_circuit_without_parameters_rejected_before_any_sweep(self, kind, monkeypatch):
         def no_sweep(*args):
@@ -202,18 +226,64 @@ class TestRun:
         for s in traj.steps:
             eigs = np.linalg.eigvalsh(fubini_study_metric(circ, s.theta).values)
             assert s.min_eig_metric == float(eigs[0])
-            assert s.det_metric == float(np.prod(eigs))
+            assert same_bits(s.det_metric, float(np.prod(eigs)))
+            _, grad = energy_and_gradient(h, circ, s.theta)
+            assert same_bits(s.grad_norm, float(np.linalg.norm(grad)))
+            assert all(type(x) is float for x in (*s.theta, s.energy, s.grad_norm, s.det_metric))
 
     def test_max_steps_validated(self, single_qubit):
         circ, h = single_qubit
         with pytest.raises(ValueError, match="max_steps"):
             run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=0)
 
+    @pytest.mark.parametrize("max_steps", [2.5, np.nan, np.inf])
+    def test_max_steps_must_be_whole(self, single_qubit, monkeypatch, max_steps):
+        # k == max_steps never holds for these, so a run that accepted one would not stop
+        calls = []
+
+        def bounded(*args):
+            calls.append(None)
+            if len(calls) > 50:
+                raise RuntimeError(f"run accepted max_steps={max_steps} and kept going")
+            return energy_and_gradient(*args)
+
+        monkeypatch.setattr(optimizers, "energy_and_gradient", bounded)
+        circ, h = single_qubit
+        with pytest.raises(ValueError, match="whole number"):
+            run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=max_steps)
+
+    def test_whole_float_max_steps_runs(self, single_qubit):
+        circ, h = single_qubit
+        traj = run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=3.0)
+        assert [s.k for s in traj.steps] == [0, 1, 2, 3]
+        assert traj.terminal_reason is TerminalReason.MAX_STEPS
+
+    @pytest.mark.parametrize("grad_tol", [np.nan, -1e-3, np.inf])
+    def test_grad_tol_validated(self, single_qubit, grad_tol):
+        circ, h = single_qubit
+        with pytest.raises(ValueError, match="grad_tol"):
+            run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), grad_tol=grad_tol)
+
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_circuit_without_parameters_rejected(self, kind):
         fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
         with pytest.raises(ValueError, match="no parameters"):
             run(kind, pauli_sum(1, [(1.0, "X")]), fixed_only, [], ConstantRate(0.05), max_steps=3)
+
+
+class TestRunScalarsKeepNumpyBits:
+    """``run`` reads its per-iterate scalars with ndarray methods and ``math``;
+    each must give the bits of the numpy helper it replaced (kept here)."""
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=edge_floats(allow_nan=False)))
+    def test_grad_norm_is_linalg_norm(self, grad):
+        with np.errstate(all="ignore"):
+            assert same_bits(math.sqrt(grad.dot(grad)), float(np.linalg.norm(grad)))
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=edge_floats(allow_nan=True)))
+    def test_prod_method_is_np_prod(self, eigs):
+        with np.errstate(all="ignore"):
+            assert same_bits(float(eigs.prod()), float(np.prod(eigs)))
 
 
 class TestCaseStudyDynamics:
