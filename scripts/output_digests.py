@@ -15,14 +15,19 @@ into an older checkout to digest that tree. It digests
   ``natvqe run --config ... --format json``) at each seed;
 * F, A, FC, the outcome probabilities p and the singularity report of F at
   every point of the benchmark's ``landscape`` workload at each seed, one
-  digest per quantity over all points in order.
+  digest per quantity over all points in order;
+* the exit code, standard output and standard error of ``natvqe metric`` for
+  every preset and ``--kind`` at the preset's theta0, and for every ``--kind``
+  at the qubit-a point where the classical Fisher metric is undefined.
 
 The workloads come from ``perfbench/workloads.py``, which is only imported.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -35,7 +40,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from natvqe import observables, states  # noqa: E402
+from natvqe import PRESET_NAMES, cli, observables, states  # noqa: E402
+
+METRIC_KINDS = ("fs", "ite", "classical", "all")
+DEGENERATE_THETA = f"{np.pi / 4!r},0"  # qubit-a: one outcome has probability 1
 
 
 def sha(data: bytes) -> str:
@@ -83,6 +91,22 @@ def landscape_digests(seed: int, tmp: Path) -> list[str]:
     return [f"landscape seed={seed} {name} {h.hexdigest()}" for name, h in hashes.items()]
 
 
+def metric_digests() -> list[str]:
+    cases = [(preset, kind, None) for preset in PRESET_NAMES for kind in METRIC_KINDS]
+    cases += [("qubit-a", kind, DEGENERATE_THETA) for kind in METRIC_KINDS]
+    lines = []
+    for preset, kind, theta in cases:
+        argv = ["metric", "--preset", preset, "--kind", kind]
+        if theta is not None:
+            argv += ["--theta", theta]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        lines.append(f"metric {preset} {kind} theta={theta or 'theta0'} exit={code} "
+                     f"stdout {sha(out.getvalue().encode())} stderr {sha(err.getvalue().encode())}")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -91,7 +115,7 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        lines = figures_digests(tmp)
+        lines = figures_digests(tmp) + metric_digests()
         for seed in args.seeds:
             lines += wide_digests(seed, tmp)
             lines += landscape_digests(seed, tmp)

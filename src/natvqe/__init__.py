@@ -24,7 +24,6 @@ from .optimizers import (
     TerminalReason,
     Tikhonov,
     run,
-    step,
 )
 from .states import (
     build_state,

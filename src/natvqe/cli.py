@@ -28,7 +28,10 @@ Config file (JSON) for custom problems::
 
 Gate kinds: "ry" (y-rotation by twice the parameter), "phase"
 (diag(1, e^{2i*theta})), "cnot" (targets = [control, target]), "unitary"
-(explicit matrix; entries are [re, im] pairs).  The trajectory CSV header is
+(explicit matrix; entries are [re, im] pairs).  ``n_qubits``, targets and
+``param_index`` must be JSON integers, and coefficients, matrix entries,
+``theta0``, ``eta`` and ``max_steps`` JSON numbers, not strings or booleans.
+The trajectory CSV header is
 ``step,theta_1,...,theta_m,energy,grad_norm,det_metric,min_eig_metric`` and
 numbers are written in shortest round-trip form, so files are byte-stable and
 parse back to the exact in-memory values.
@@ -46,15 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import PRESET_NAMES, hardware_efficient_ansatz, load_preset
-from .geometry import (
-    MetricMatrix,
-    MetricUndefinedError,
-    classical_fisher_metric,
-    fubini_study_metric,
-    ite_matrix,
-    singularity_report,
-)
-from .observables import PauliHamiltonian, pauli_sum, spectral_decompose
+from .geometry import MetricKind, MetricMatrix, metric_for, singularity_report
+from .observables import PauliHamiltonian, pauli_sum
 from .optimizers import (
     ConstantRate,
     EigenFloor,
@@ -76,6 +72,11 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 _OPTIMIZER_NAMES = {k.value: k for k in OptimizerKind}
+_METRIC_NAMES = {
+    "fs": MetricKind.FUBINI_STUDY,
+    "ite": MetricKind.ITE,
+    "classical": MetricKind.CLASSICAL_FISHER,
+}
 
 
 class ConfigError(ValueError):
@@ -88,26 +89,29 @@ class ConfigError(ValueError):
 def _parse_gate(entry: dict) -> Gate:
     try:
         kind = GateKind(entry["kind"])
-        targets = tuple(int(t) for t in entry["targets"])
+        targets = tuple(_json_int(t, "gate target") for t in entry["targets"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad gate entry {entry!r}: {exc}") from exc
     param = entry.get("param_index")
+    param = None if param is None else _json_int(param, "param_index")
     matrix = None
     if kind is GateKind.UNITARY:
         try:
             rows = entry["matrix"]
-            matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+            matrix = np.array([[complex(_json_number(re, "matrix entry"),
+                                        _json_number(im, "matrix entry"))
+                                for re, im in row] for row in rows])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad unitary matrix in gate {entry!r}") from exc
     try:
-        return Gate(kind, targets, None if param is None else int(param), matrix)
+        return Gate(kind, targets, param, matrix)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_circuit(entry: dict) -> AnsatzCircuit:
     try:
-        n_qubits = int(entry["n_qubits"])
+        n_qubits = _json_int(entry["n_qubits"], "n_qubits")
         gates = [_parse_gate(g) for g in entry["gates"]]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"circuit entry needs n_qubits and gates: {exc}") from exc
@@ -122,7 +126,8 @@ def _parse_circuit(entry: dict) -> AnsatzCircuit:
 
 def _parse_hamiltonian(terms, n_qubits: int) -> PauliHamiltonian:
     try:
-        return pauli_sum(n_qubits, [(float(c), str(s)) for c, s in terms])
+        return pauli_sum(n_qubits, [(_json_number(c, "hamiltonian coefficient"), str(s))
+                                    for c, s in terms])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hamiltonian terms: {exc}") from exc
 
@@ -132,6 +137,13 @@ def _json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _json_int(value, what: str) -> int:
+    """A whole number from the config file; JSON booleans, fractions and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -338,23 +350,23 @@ def cmd_run(args) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    config_echo = {
+        "preset": defaults["preset"],
+        "hamiltonian": [[c, s] for c, s in hamiltonian.terms],
+        "circuit": {
+            "n_qubits": circ.n_qubits,
+            "gates": [_gate_echo(g) for g in circ.gates],
+        },
+        "theta0": list(theta0),
+        "schedule": {"kind": args.schedule, "eta": eta},
+        "regularization": {"kind": args.regularization, "epsilon": args.reg_epsilon},
+        "max_steps": max_steps,
+        "grad_tol": args.grad_tol,
+    }
     for kind in kinds:
         trajectory = run(kind, hamiltonian, circ, theta0, schedule, policy,
                          max_steps=max_steps, grad_tol=args.grad_tol)
-        config_echo = {
-            "preset": defaults["preset"],
-            "hamiltonian": [[c, s] for c, s in hamiltonian.terms],
-            "circuit": {
-                "n_qubits": circ.n_qubits,
-                "gates": [_gate_echo(g) for g in circ.gates],
-            },
-            "theta0": list(theta0),
-            "optimizer": kind.value,
-            "schedule": {"kind": args.schedule, "eta": eta},
-            "regularization": {"kind": args.regularization, "epsilon": args.reg_epsilon},
-            "max_steps": max_steps,
-            "grad_tol": args.grad_tol,
-        }
+        config_echo["optimizer"] = kind.value
         ext = "json" if args.format == "json" else "csv"
         path = out_dir / f"{name}_{kind.value}.{ext}"
         text = (
@@ -380,12 +392,9 @@ def _format_matrix(values: np.ndarray) -> str:
     return "\n".join(rows)
 
 
-def _print_metric(label: str, metric: MetricMatrix, rank_tol: float) -> None:
-    try:
-        report = singularity_report(metric, rank_tol)
-    except ValueError as exc:  # the only ValueError it raises is a bad rank_tol
-        raise ConfigError(str(exc)) from exc
-    print(f"{label}:")
+def _print_metric(metric: MetricMatrix, rank_tol: float) -> None:
+    report = singularity_report(metric, rank_tol)
+    print(f"{metric.kind.value}:")
     print(_format_matrix(metric.values))
     print(f"  determinant    = {report.determinant!r}")
     print(f"  min_eigenvalue = {report.min_eigenvalue!r}")
@@ -401,28 +410,20 @@ def _is_two_layer_ansatz(circ: AnsatzCircuit) -> bool:
 
 
 def cmd_metric(args) -> int:
-    name, hamiltonian, circ, theta0, _ = _problem_from_args(args)
+    _, hamiltonian, circ, theta0, _ = _problem_from_args(args)
     theta = _parse_theta(args.theta, circ.n_params) if args.theta else theta0
-    wanted = ("fs", "ite", "classical") if args.kind == "all" else (args.kind,)
+    if not (0.0 <= args.rank_tol < math.inf):
+        raise ConfigError(f"rank_tol must be finite and non-negative, got {args.rank_tol}")
+    wanted = _METRIC_NAMES.values() if args.kind == "all" else (_METRIC_NAMES[args.kind],)
     for kind in wanted:
-        if kind == "fs":
-            metric = fubini_study_metric(circ, theta)
-            _print_metric("fubini_study", metric, args.rank_tol)
-            if _is_two_layer_ansatz(circ):
-                # two-layer couplings sit at (1,3) and (2,4); the product of the
-                # coupling-block determinants vanishes exactly on product states
-                f = metric.values
-                indicator = float((1.0 - f[0, 2] ** 2) * (1.0 - f[1, 3] ** 2))
-                print(f"  separability_indicator = {indicator!r}")
-        elif kind == "ite":
-            _print_metric("ite_gram", ite_matrix(circ, theta), args.rank_tol)
-        else:
-            try:
-                metric = classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
-            except MetricUndefinedError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
-            _print_metric("classical_fisher", metric, args.rank_tol)
+        metric = metric_for(kind, hamiltonian, circ, theta)
+        _print_metric(metric, args.rank_tol)
+        if kind is MetricKind.FUBINI_STUDY and _is_two_layer_ansatz(circ):
+            # two-layer couplings sit at (1,3) and (2,4); the product of the
+            # coupling-block determinants vanishes exactly on product states
+            f = metric.values
+            indicator = float((1.0 - f[0, 2] ** 2) * (1.0 - f[1, 3] ** 2))
+            print(f"  separability_indicator = {indicator!r}")
     return EXIT_OK
 
 
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metric._negative_number_matcher = re.compile(r"^-(\d+\.?|\.\d).*$")
     add_problem_args(p_metric)
     p_metric.add_argument("--theta", default=None, help="comma-separated parameter values")
-    p_metric.add_argument("--kind", choices=("fs", "ite", "classical", "all"), default="fs")
+    p_metric.add_argument("--kind", choices=(*_METRIC_NAMES, "all"), default="fs")
     p_metric.add_argument("--rank-tol", type=float, default=1e-9)
     p_metric.set_defaults(func=cmd_metric)
 

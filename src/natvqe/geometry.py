@@ -16,6 +16,10 @@ states of a circuit:
 
 Rank deficiency of these matrices marks singular parameter points: directions
 along which the state (or the outcome distribution) does not move.
+
+``MetricKind`` names the geometry, and ``metric_for`` is the one place that
+picks which of the three to compute: the optimizers and ``natvqe metric`` both
+call it.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .observables import SpectralDecomposition
+from .observables import PauliHamiltonian, SpectralDecomposition, spectral_decompose
 from .states import AnsatzCircuit, state_and_tangents
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "fubini_study_metric",
     "ite_matrix",
     "classical_fisher_metric",
+    "metric_for",
     "singularity_report",
     "entanglement_entropy",
     "psd_order_check",
@@ -50,7 +55,7 @@ DEFAULT_RANK_TOL = 1e-9
 
 class MetricKind(Enum):
     FUBINI_STUDY = "fubini_study"
-    ITE = "ite"
+    ITE = "ite_gram"
     CLASSICAL_FISHER = "classical_fisher"
 
 
@@ -144,6 +149,20 @@ def classical_fisher_metric(
     dp = dp[:, kept]
     values = (dp / p[kept]) @ dp.T
     return MetricMatrix(MetricKind.CLASSICAL_FISHER, _symmetrized(values))
+
+
+def metric_for(
+    kind: MetricKind,
+    hamiltonian: PauliHamiltonian,
+    circ: AnsatzCircuit,
+    theta: Sequence[float],
+) -> MetricMatrix:
+    """The ``kind`` metric at theta; only the classical Fisher metric reads ``hamiltonian``."""
+    if kind is MetricKind.FUBINI_STUDY:
+        return fubini_study_metric(circ, theta)
+    if kind is MetricKind.ITE:
+        return ite_matrix(circ, theta)
+    return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ the Fubini-Study metric, the imaginary-time-evolution rule with the Gram
 matrix, and the natural gradient with the classical Fisher metric.  The
 inverse is always taken through a regularization policy so near-singular
 metrics produce finite (if large) steps instead of NaN.
+
+``run`` is the only update loop.  It maps its ``OptimizerKind`` to a
+``geometry.MetricKind`` once, and ``geometry.metric_for`` computes that metric
+at every iterate; one update from theta is
+``run(kind, H, circ, theta, ConstantRate(eta), policy, max_steps=1).steps[1].theta``.
 """
 from __future__ import annotations
 
@@ -16,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MetricMatrix, classical_fisher_metric, fubini_study_metric, ite_matrix
-from .observables import PauliHamiltonian, energy_and_gradient, spectral_decompose
+from .geometry import MetricKind, MetricMatrix, metric_for
+from .observables import PauliHamiltonian, energy_and_gradient
 from .states import AnsatzCircuit, check_parameters
 
 __all__ = [
@@ -32,7 +37,6 @@ __all__ = [
     "Trajectory",
     "DEFAULT_POLICY",
     "solve_regularized",
-    "step",
     "run",
 ]
 
@@ -42,6 +46,14 @@ class OptimizerKind(Enum):
     NATURAL_FS = "natural"         # Fubini-Study metric
     ITE = "ite"                    # Gram matrix Re<d_i phi|d_j phi>
     NATURAL_CLASSICAL = "classical"  # classical Fisher metric
+
+
+# the geometry each rule preconditions with; VANILLA has none (M = identity)
+_METRIC_KINDS = {
+    OptimizerKind.NATURAL_FS: MetricKind.FUBINI_STUDY,
+    OptimizerKind.ITE: MetricKind.ITE,
+    OptimizerKind.NATURAL_CLASSICAL: MetricKind.CLASSICAL_FISHER,
+}
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -169,44 +181,6 @@ def solve_regularized(
     return x
 
 
-def _metric_for(
-    kind: OptimizerKind,
-    hamiltonian: PauliHamiltonian,
-    circ: AnsatzCircuit,
-    theta: np.ndarray,
-) -> MetricMatrix | None:
-    if kind is OptimizerKind.VANILLA:
-        return None
-    if kind is OptimizerKind.NATURAL_FS:
-        return fubini_study_metric(circ, theta)
-    if kind is OptimizerKind.ITE:
-        return ite_matrix(circ, theta)
-    return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
-
-
-def _require_parameters(circ: AnsatzCircuit) -> None:
-    if circ.n_params == 0:
-        raise ValueError("circuit has no parameters to optimize")
-
-
-def step(
-    kind: OptimizerKind,
-    hamiltonian: PauliHamiltonian,
-    circ: AnsatzCircuit,
-    theta: Sequence[float],
-    eta: float,
-    policy: RegularizationPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """One parameter update theta - eta * M^{-1} grad (M = identity for VANILLA)."""
-    _require_parameters(circ)
-    theta = check_parameters(circ, theta)
-    _require_positive("eta", eta)
-    _, grad = energy_and_gradient(hamiltonian, circ, theta)
-    metric = _metric_for(kind, hamiltonian, circ, theta)
-    direction = grad if metric is None else solve_regularized(metric, grad, policy)
-    return theta - eta * direction
-
-
 def run(
     kind: OptimizerKind,
     hamiltonian: PauliHamiltonian,
@@ -232,8 +206,10 @@ def run(
         raise ValueError("max_steps must be at least 1")
     if not (0.0 <= grad_tol < math.inf):
         raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
-    _require_parameters(circ)
+    if circ.n_params == 0:
+        raise ValueError("circuit has no parameters to optimize")
     theta = check_parameters(circ, theta0)
+    metric_kind = _METRIC_KINDS.get(kind)
     steps: list[TrajectoryStep] = []
     k = 0
     # An iterate is a few microseconds of arithmetic on m <= ~40 numbers, so its
@@ -247,10 +223,10 @@ def run(
         value, grad = energy_and_gradient(hamiltonian, circ, theta)
         # np.linalg.norm of a contiguous 1-d float array is sqrt(x.dot(x)): the same bits
         grad_norm = math.sqrt(grad.dot(grad))
-        metric = _metric_for(kind, hamiltonian, circ, theta)
-        if metric is None:
-            det, min_eig = 1.0, 1.0
+        if metric_kind is None:
+            metric, det, min_eig = None, 1.0, 1.0
         else:
+            metric = metric_for(metric_kind, hamiltonian, circ, theta)
             eigs = metric.eigenvalues
             det, min_eig = float(eigs.prod()), float(eigs[0])
         steps.append(TrajectoryStep(k, record, value, grad_norm, det, min_eig))

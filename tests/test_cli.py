@@ -55,6 +55,13 @@ def write_config(tmp_path, doc=CUSTOM_CONFIG, name="problem.json"):
     return path
 
 
+def with_gate(index, gate):
+    """CUSTOM_CONFIG's circuit with gate ``index`` replaced by ``gate``."""
+    gates = list(CUSTOM_CONFIG["circuit"]["gates"])
+    gates[index] = gate
+    return dict(CUSTOM_CONFIG["circuit"], gates=gates)
+
+
 class TestRunCommand:
     def test_writes_one_csv_per_optimizer(self, tmp_path):
         code = main(["run", "--preset", "qubit-a", "--optimizer", "vanilla,natural,ite",
@@ -183,11 +190,27 @@ class TestRunCommand:
         (["--grad-tol", "nan"], {}),
         (["--grad-tol", "-1"], {}),
         (["--grad-tol", "inf"], {}),
+        # config numbers of the wrong JSON type used to be truncated or coerced
+        ([], {"circuit": dict(CUSTOM_CONFIG["circuit"], n_qubits=2.9)}),
+        ([], {"circuit": with_gate(1, {"kind": "ry", "targets": [1.7], "param_index": 1})}),
+        ([], {"circuit": with_gate(1, {"kind": "ry", "targets": ["1"], "param_index": 1})}),
+        ([], {"circuit": with_gate(1, {"kind": "ry", "targets": [True], "param_index": 1})}),
+        ([], {"circuit": with_gate(1, {"kind": "ry", "targets": [1], "param_index": 1.5})}),
+        ([], {"circuit": with_gate(1, {"kind": "ry", "targets": [1], "param_index": True})}),
+        ([], {"hamiltonian": [["0.4", "ZI"], [0.4, "IZ"], [0.2, "XX"]]}),
+        ([], {"hamiltonian": [[True, "ZI"], [0.4, "IZ"], [0.2, "XX"]]}),
+        ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
+                                       "matrix": [[[0, 0], ["1", 0]], [[1, 0], [0, 0]]]})}),
+        ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
+                                       "matrix": [[[0, 0], [1, 0]], [[True, 0], [0, 0]]]})}),
     ], ids=["steps-0", "eta-0", "eta-inf", "eta-nan", "inverse-eta-negative", "epsilon-0",
             "pinv-cut-inf", "theta0-length", "config-max-steps-0", "config-eta-text",
             "config-eta-null", "config-max-steps-fraction", "config-max-steps-bool",
             "config-max-steps-text", "config-eta-bool", "config-theta0-bool",
-            "grad-tol-nan", "grad-tol-negative", "grad-tol-inf"])
+            "grad-tol-nan", "grad-tol-negative", "grad-tol-inf", "config-n-qubits-fraction",
+            "config-target-fraction", "config-target-text", "config-target-bool",
+            "config-param-index-fraction", "config-param-index-bool", "config-coefficient-text",
+            "config-coefficient-bool", "config-matrix-entry-text", "config-matrix-entry-bool"])
     def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
         config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
         out = tmp_path / "out"
@@ -270,8 +293,8 @@ class TestMetricCommand:
         code = main(["metric", "--preset", "qubit-a", "--theta", "0.5,0.3", "--kind", "all"])
         assert code == 0
         out = capsys.readouterr().out
-        for label in ("fubini_study", "ite_gram", "classical_fisher"):
-            assert label in out
+        labels = [line[:-1] for line in out.splitlines() if line.endswith(":")]
+        assert labels == ["fubini_study", "ite_gram", "classical_fisher"]
 
     def test_wrong_arity(self, capsys):
         assert main(["metric", "--preset", "h2-a", "--theta", "0.1,0.2"]) == 2
@@ -283,9 +306,15 @@ class TestMetricCommand:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rank_tol", ["-1", "nan", "inf"])
-    @pytest.mark.parametrize("kind", ["fs", "all"])
-    def test_bad_rank_tol_is_config_error(self, kind, rank_tol, capsys):
-        code = main(["metric", "--preset", "h2-a", "--kind", kind, "--rank-tol", rank_tol])
+    @pytest.mark.parametrize("problem", [
+        pytest.param(["--preset", "h2-a", "--kind", "fs"], id="fs"),
+        pytest.param(["--preset", "h2-a", "--kind", "all"], id="all"),
+        # FC is undefined here: the bad tolerance must be reported, not the metric
+        pytest.param(["--preset", "qubit-a", "--theta", f"{np.pi / 4},0", "--kind", "classical"],
+                     id="classical-degenerate"),
+    ])
+    def test_bad_rank_tol_is_config_error(self, problem, rank_tol, capsys):
+        code = main(["metric", *problem, "--rank-tol", rank_tol])
         assert code == 2
         captured = capsys.readouterr()
         assert "rank_tol" in captured.err

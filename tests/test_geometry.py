@@ -33,7 +33,7 @@ from natvqe import (
     state_and_tangents,
 )
 from natvqe.experiments import hardware_efficient_ansatz, single_qubit_ansatz
-from natvqe.geometry import PROB_FLOOR, MetricKind, MetricMatrix, psd_order_check
+from natvqe.geometry import PROB_FLOOR, MetricKind, MetricMatrix, metric_for, psd_order_check
 from natvqe.observables import outcome_distribution
 from natvqe.states import Gate, GateKind
 from test_observables import projectors
@@ -549,6 +549,36 @@ class TestClassicalFisherEigenbasis:
         decomp = spectral_decompose(h)
         probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
         assert np.max(np.abs(probs - projector_probabilities(circ, theta, decomp))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The one metric dispatch against the three functions it calls
+
+DIRECT = {
+    MetricKind.FUBINI_STUDY: lambda circ, h, theta: fubini_study_metric(circ, theta),
+    MetricKind.ITE: lambda circ, h, theta: ite_matrix(circ, theta),
+    MetricKind.CLASSICAL_FISHER:
+        lambda circ, h, theta: classical_fisher_metric(circ, theta, spectral_decompose(h)),
+}
+
+
+class TestMetricFor:
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_same_bits_as_the_direct_function(self, kind):
+        computed = 0
+        for circ, h, theta in seeded_problems(44, 300):
+            try:
+                expected = DIRECT[kind](circ, h, theta)
+            except MetricUndefinedError:
+                with pytest.raises(MetricUndefinedError, match="degenerate distribution"):
+                    metric_for(kind, h, circ, theta)
+                continue
+            metric = metric_for(kind, h, circ, theta)
+            assert metric.kind is kind
+            assert metric.values.tobytes() == expected.values.tobytes()
+            assert metric.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+            computed += 1
+        assert computed > 150
 
 
 # ---------------------------------------------------------------------------

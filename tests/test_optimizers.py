@@ -22,10 +22,9 @@ from natvqe import (
     pauli_sum,
     run,
     ry,
-    step,
 )
 from natvqe import optimizers
-from natvqe.geometry import MetricKind, MetricMatrix
+from natvqe.geometry import MetricKind, MetricMatrix, metric_for
 from natvqe.observables import energy_and_gradient
 from natvqe.optimizers import solve_regularized
 
@@ -97,6 +96,12 @@ class TestSolveRegularized:
             solve_regularized(metric_of(np.diag([1.0, 0.0])), [1.0, 1.0], EigenFloor(5e-324))
 
 
+def step(kind, hamiltonian, circ, theta, eta):
+    """The first update of ``run``: theta - eta * M^{-1} grad under the default policy."""
+    trajectory = run(kind, hamiltonian, circ, theta, ConstantRate(eta), max_steps=1)
+    return np.array(trajectory.steps[1].theta)
+
+
 class TestStep:
     def test_vanilla(self, single_qubit):
         circ, h = single_qubit
@@ -145,12 +150,26 @@ class TestStep:
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_circuit_without_parameters_rejected_before_any_sweep(self, kind, monkeypatch):
         def no_sweep(*args):
-            raise AssertionError("step swept a circuit without parameters")
+            raise AssertionError("run swept a circuit without parameters")
 
         monkeypatch.setattr(optimizers, "energy_and_gradient", no_sweep)
         fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
         with pytest.raises(ValueError, match="no parameters"):
             step(kind, pauli_sum(1, [(1.0, "X")]), fixed_only, [], 0.05)
+
+    @pytest.mark.parametrize("kind, metric_kind", [
+        (OptimizerKind.NATURAL_FS, MetricKind.FUBINI_STUDY),
+        (OptimizerKind.ITE, MetricKind.ITE),
+        (OptimizerKind.NATURAL_CLASSICAL, MetricKind.CLASSICAL_FISHER),
+    ])
+    def test_first_update_is_the_rule_on_its_metric(self, kind, metric_kind, single_qubit):
+        # a complex circuit, so that F and A differ
+        circ, h = single_qubit
+        theta = np.array([0.4, 0.2])
+        _, grad = energy_and_gradient(h, circ, theta)
+        metric = metric_for(metric_kind, h, circ, theta)
+        expected = theta - 0.05 * solve_regularized(metric, grad, optimizers.DEFAULT_POLICY)
+        assert step(kind, h, circ, theta, 0.05).tobytes() == expected.tobytes()
 
 
 class TestSchedules:
