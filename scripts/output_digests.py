@@ -18,7 +18,13 @@ into an older checkout to digest that tree. It digests
   digest per quantity over all points in order;
 * the exit code, standard output and standard error of ``natvqe metric`` for
   every preset and ``--kind`` at the preset's theta0, and for every ``--kind``
-  at the qubit-a point where the classical Fisher metric is undefined.
+  at the qubit-a point where the classical Fisher metric is undefined;
+* the JSON trajectories of ``natvqe run --preset P --optimizer vanilla,natural
+  --format json --steps 3`` for every preset, and of a ``natvqe run --config``
+  whose circuit has ry, phase, CNOT and a seeded two-qubit unitary;
+* the exit code and standard error of ``natvqe run --config`` for each of a set
+  of bad config files (wrong JSON types, a missing field, not JSON, a theta0 of
+  the wrong length).
 
 The workloads come from ``perfbench/workloads.py``, which is only imported.
 """
@@ -28,6 +34,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -99,11 +106,95 @@ def metric_digests() -> list[str]:
         argv = ["metric", "--preset", preset, "--kind", kind]
         if theta is not None:
             argv += ["--theta", theta]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        code, out, err = _cli(argv)
         lines.append(f"metric {preset} {kind} theta={theta or 'theta0'} exit={code} "
-                     f"stdout {sha(out.getvalue().encode())} stderr {sha(err.getvalue().encode())}")
+                     f"stdout {sha(out.encode())} stderr {sha(err.encode())}")
+    return lines
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_json(tmp: Path, label: str, problem: list[str]) -> list[str]:
+    """Digest every file of ``natvqe run PROBLEM --optimizer vanilla,natural --format json``."""
+    out = tmp / label
+    code, _, err = _cli(["run", *problem, "--optimizer", "vanilla,natural", "--format", "json",
+                         "--steps", "3", "--out-dir", str(out)])
+    if code != 0:
+        raise RuntimeError(f"echo {label}: natvqe run exited {code}: {err}")
+    return [f"echo {label} {path.name} {sha(path.read_bytes())}" for path in sorted(out.iterdir())]
+
+
+def _unitary_config() -> dict:
+    """ry, phase, CNOT and a seeded two-qubit unitary on 2 qubits, with 4 parameters."""
+    z = np.random.default_rng(11).normal(size=(2, 4, 4))
+    unitary = np.linalg.qr(z[0] + 1j * z[1])[0]
+    return {
+        "hamiltonian": [[0.4, "ZI"], [-0.3, "IX"], [0.2, "YY"]],
+        "circuit": {"n_qubits": 2, "gates": [
+            {"kind": "ry", "targets": [0], "param_index": 0},
+            {"kind": "phase", "targets": [1], "param_index": 1},
+            {"kind": "cnot", "targets": [0, 1]},
+            {"kind": "unitary", "targets": [1, 0],
+             "matrix": [[[v.real, v.imag] for v in row] for row in unitary.tolist()]},
+            {"kind": "ry", "targets": [1], "param_index": 2},
+            {"kind": "phase", "targets": [0], "param_index": 3},
+        ]},
+        "theta0": [0.3, -0.7, 1.1, 0.25],
+        "eta": 0.07,
+        "max_steps": 50,
+    }
+
+
+def echo_digests(tmp: Path) -> list[str]:
+    lines = []
+    for preset in PRESET_NAMES:
+        lines += _run_json(tmp, preset, ["--preset", preset])
+    config = tmp / "unitary.json"
+    config.write_text(json.dumps(_unitary_config()), encoding="utf-8")
+    return lines + _run_json(tmp, "unitary", ["--config", str(config)])
+
+
+def _bad_configs() -> dict[str, object]:
+    """Config documents (or raw text) that ``natvqe run`` must reject with exit 2."""
+    good = _unitary_config()
+
+    def with_gate(index: int, **fields) -> dict:
+        gates = [dict(g) for g in good["circuit"]["gates"]]
+        gates[index].update(fields)
+        return dict(good, circuit=dict(good["circuit"], gates=gates))
+
+    matrix = [[list(v) for v in row] for row in good["circuit"]["gates"][3]["matrix"]]
+    matrix[1][2][0] = True
+    missing = dict(good)
+    del missing["theta0"]
+    return {
+        "n-qubits-fraction": dict(good, circuit=dict(good["circuit"], n_qubits=2.9)),
+        "target-text": with_gate(0, targets=["1"]),
+        "param-index-bool": with_gate(1, param_index=True),
+        "coefficient-text": dict(good, hamiltonian=[["0.4", "ZI"], [-0.3, "IX"]]),
+        "matrix-entry-bool": with_gate(3, matrix=matrix),
+        "missing-theta0": missing,
+        "not-json": "{not json",
+        "theta0-length": dict(good, theta0=[0.3, -0.7, 1.1]),
+    }
+
+
+def config_error_digests(tmp: Path) -> list[str]:
+    lines = []
+    for label, doc in _bad_configs().items():
+        config = tmp / f"bad-{label}.json"
+        config.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        out = tmp / f"bad-{label}"
+        code, _, err = _cli(["run", "--config", str(config), "--optimizer", "vanilla,natural",
+                             "--out-dir", str(out)])
+        err = err.replace(str(tmp), "<tmp>")
+        lines.append(f"config-error {label} exit={code} wrote={out.exists()} "
+                     f"stderr {sha(err.encode())}")
     return lines
 
 
@@ -115,7 +206,8 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        lines = figures_digests(tmp) + metric_digests()
+        lines = (figures_digests(tmp) + metric_digests() + echo_digests(tmp)
+                 + config_error_digests(tmp))
         for seed in args.seeds:
             lines += wide_digests(seed, tmp)
             lines += landscape_digests(seed, tmp)

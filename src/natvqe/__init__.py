@@ -4,7 +4,7 @@ The root exports what a study needs; every other public name lives in its
 module's ``__all__``.
 """
 
-from .experiments import PRESET_NAMES, compare, load_preset, steps_to_threshold
+from .experiments import PRESET_NAMES, Problem, compare, load_preset, steps_to_threshold
 from .geometry import (
     MetricUndefinedError,
     classical_fisher_metric,

@@ -11,27 +11,9 @@ presets  list built-in preset names
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/output error.
 
-Config file (JSON) for custom problems::
-
-    {
-      "hamiltonian": [[0.4, "ZI"], [0.4, "IZ"], [0.2, "XX"]],
-      "circuit": {"n_qubits": 2, "gates": [
-          {"kind": "ry", "targets": [0], "param_index": 0},
-          {"kind": "ry", "targets": [1], "param_index": 1},
-          {"kind": "cnot", "targets": [0, 1]},
-          {"kind": "phase", "targets": [0], "param_index": 2},
-          {"kind": "unitary", "targets": [0], "matrix": [[[0,0],[1,0]],[[1,0],[0,0]]]}
-      ]},
-      "theta0": [0.1, 0.2, 0.3],
-      "eta": 0.05, "max_steps": 200
-    }
-
-Gate kinds: "ry" (y-rotation by twice the parameter), "phase"
-(diag(1, e^{2i*theta})), "cnot" (targets = [control, target]), "unitary"
-(explicit matrix; entries are [re, im] pairs).  ``n_qubits``, targets and
-``param_index`` must be JSON integers, and coefficients, matrix entries,
-``theta0``, ``eta`` and ``max_steps`` JSON numbers, not strings or booleans.
-The trajectory CSV header is
+A config file holds one JSON problem document, in the schema that
+``natvqe.experiments.Problem`` documents; a ``--format json`` file echoes the
+problem in that schema.  The trajectory CSV header is
 ``step,theta_1,...,theta_m,energy,grad_norm,det_metric,min_eig_metric`` and
 numbers are written in shortest round-trip form, so files are byte-stable and
 parse back to the exact in-memory values.
@@ -48,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import PRESET_NAMES, hardware_efficient_ansatz, load_preset
+from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_preset
 from .geometry import MetricKind, MetricMatrix, metric_for, singularity_report
-from .observables import PauliHamiltonian, pauli_sum
 from .optimizers import (
     ConstantRate,
     EigenFloor,
@@ -62,7 +43,7 @@ from .optimizers import (
     TrajectoryStep,
     run,
 )
-from .states import AnsatzCircuit, Gate, GateKind, check_parameters, circuit
+from .states import AnsatzCircuit
 from .svgplot import line_plot
 
 OUT_DIR_ENV = "NATVQE_OUT_DIR"
@@ -72,6 +53,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 _OPTIMIZER_NAMES = {k.value: k for k in OptimizerKind}
+_SCHEDULES = {"constant": ConstantRate, "inverse": InverseStepRate}
+_POLICIES = {"eigenfloor": EigenFloor, "tikhonov": Tikhonov, "pinv": PseudoInverse}
 _METRIC_NAMES = {
     "fs": MetricKind.FUBINI_STUDY,
     "ite": MetricKind.ITE,
@@ -84,67 +67,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
-
-def _parse_gate(entry: dict) -> Gate:
-    try:
-        kind = GateKind(entry["kind"])
-        targets = tuple(_json_int(t, "gate target") for t in entry["targets"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad gate entry {entry!r}: {exc}") from exc
-    param = entry.get("param_index")
-    param = None if param is None else _json_int(param, "param_index")
-    matrix = None
-    if kind is GateKind.UNITARY:
-        try:
-            rows = entry["matrix"]
-            matrix = np.array([[complex(_json_number(re, "matrix entry"),
-                                        _json_number(im, "matrix entry"))
-                                for re, im in row] for row in rows])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad unitary matrix in gate {entry!r}") from exc
-    try:
-        return Gate(kind, targets, param, matrix)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_circuit(entry: dict) -> AnsatzCircuit:
-    try:
-        n_qubits = _json_int(entry["n_qubits"], "n_qubits")
-        gates = [_parse_gate(g) for g in entry["gates"]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"circuit entry needs n_qubits and gates: {exc}") from exc
-    try:
-        circ = circuit(n_qubits, gates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if circ.n_params == 0:
-        raise ConfigError("circuit has no parameterized gate")
-    return circ
-
-
-def _parse_hamiltonian(terms, n_qubits: int) -> PauliHamiltonian:
-    try:
-        return pauli_sum(n_qubits, [(_json_number(c, "hamiltonian coefficient"), str(s))
-                                    for c, s in terms])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hamiltonian terms: {exc}") from exc
-
-
-def _json_number(value, what: str) -> float:
-    """A number from the config file; JSON booleans and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_int(value, what: str) -> int:
-    """A whole number from the config file; JSON booleans, fractions and strings are not."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
+# arguments
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -159,36 +82,17 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _problem_from_args(args) -> tuple[str, PauliHamiltonian, AnsatzCircuit, tuple[float, ...], dict]:
-    """Resolve (name, hamiltonian, circuit, theta0, defaults) from --preset xor --config."""
+def _problem_from_args(args) -> Problem:
+    """The problem that --preset xor --config names."""
     if (args.preset is None) == (args.config is None):
         raise ConfigError("provide exactly one of --preset or --config")
-    if args.preset is not None:
-        try:
-            preset = load_preset(args.preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        defaults = {"eta": preset.eta, "max_steps": preset.max_steps, "preset": preset.name}
-        return preset.name, preset.hamiltonian, preset.circuit, preset.theta0, defaults
-    doc = _load_config_file(args.config)
+    doc = None if args.config is None else _load_config_file(args.config)
     try:
-        circ = _parse_circuit(doc["circuit"])
-        hamiltonian = _parse_hamiltonian(doc["hamiltonian"], circ.n_qubits)
-        theta0 = tuple(_json_number(x, "theta0 entry") for x in doc["theta0"])
-        check_parameters(circ, theta0)
-        max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
-        if not max_steps.is_integer():
-            raise ConfigError(f"max_steps must be a whole number, got {max_steps!r}")
-        defaults = {
-            "eta": _json_number(doc.get("eta", 0.05), "eta"),
-            "max_steps": int(max_steps),
-            "preset": None,
-        }
-    except KeyError as exc:
-        raise ConfigError(f"config file missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config file: {exc}") from exc
-    return Path(args.config).stem, hamiltonian, circ, theta0, defaults
+        if doc is None:
+            return load_preset(args.preset)
+        return Problem.from_json(doc, Path(args.config).stem)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_optimizers(text: str) -> list[OptimizerKind]:
@@ -213,20 +117,6 @@ def _parse_theta(text: str, n_params: int) -> tuple[float, ...]:
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"theta must be finite, got {text!r}")
     return values
-
-
-def _schedule_from_args(args, eta: float):
-    if args.schedule == "constant":
-        return ConstantRate(eta)
-    return InverseStepRate(eta)
-
-
-def _policy_from_args(args):
-    if args.regularization == "tikhonov":
-        return Tikhonov(args.reg_epsilon)
-    if args.regularization == "pinv":
-        return PseudoInverse(args.reg_epsilon)
-    return EigenFloor(args.reg_epsilon)
 
 
 def _out_dir(args) -> Path:
@@ -318,28 +208,18 @@ def trajectory_to_json(trajectory: Trajectory, config_echo: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _gate_echo(gate: Gate) -> dict:
-    """A gate in the config file's format, so the echo parses back to the same gate."""
-    echo = {"kind": gate.kind.value, "targets": list(gate.targets)}
-    if gate.param_index is not None:
-        echo["param_index"] = gate.param_index
-    if gate.matrix is not None:
-        echo["matrix"] = [[[z.real, z.imag] for z in row] for row in gate.matrix.tolist()]
-    return echo
-
-
 def cmd_run(args) -> int:
-    name, hamiltonian, circ, theta0, defaults = _problem_from_args(args)
+    problem = _problem_from_args(args)
     kinds = _parse_optimizers(args.optimizer)
-    eta = args.eta if args.eta is not None else defaults["eta"]
-    max_steps = args.steps if args.steps is not None else defaults["max_steps"]
+    eta = args.eta if args.eta is not None else problem.eta
+    max_steps = args.steps if args.steps is not None else problem.max_steps
     if max_steps < 1:
         raise ConfigError("max_steps must be at least 1")
     if not (0.0 <= args.grad_tol < math.inf):
         raise ConfigError(f"grad_tol must be finite and non-negative, got {args.grad_tol}")
     try:
-        schedule = _schedule_from_args(args, eta)
-        policy = _policy_from_args(args)
+        schedule = _SCHEDULES[args.schedule](eta)
+        policy = _POLICIES[args.regularization](args.reg_epsilon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -350,25 +230,22 @@ def cmd_run(args) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    config_echo = {
-        "preset": defaults["preset"],
-        "hamiltonian": [[c, s] for c, s in hamiltonian.terms],
-        "circuit": {
-            "n_qubits": circ.n_qubits,
-            "gates": [_gate_echo(g) for g in circ.gates],
-        },
-        "theta0": list(theta0),
-        "schedule": {"kind": args.schedule, "eta": eta},
-        "regularization": {"kind": args.regularization, "epsilon": args.reg_epsilon},
-        "max_steps": max_steps,
-        "grad_tol": args.grad_tol,
-    }
+    # the problem's document with the settings of this run; eta is the schedule's
+    config_echo = problem.to_json()
+    del config_echo["eta"]
+    config_echo.update(
+        preset=args.preset,
+        schedule={"kind": args.schedule, "eta": eta},
+        regularization={"kind": args.regularization, "epsilon": args.reg_epsilon},
+        max_steps=max_steps,
+        grad_tol=args.grad_tol,
+    )
     for kind in kinds:
-        trajectory = run(kind, hamiltonian, circ, theta0, schedule, policy,
-                         max_steps=max_steps, grad_tol=args.grad_tol)
+        trajectory = run(kind, problem.hamiltonian, problem.circuit, problem.theta0, schedule,
+                         policy, max_steps=max_steps, grad_tol=args.grad_tol)
         config_echo["optimizer"] = kind.value
         ext = "json" if args.format == "json" else "csv"
-        path = out_dir / f"{name}_{kind.value}.{ext}"
+        path = out_dir / f"{problem.name}_{kind.value}.{ext}"
         text = (
             trajectory_to_json(trajectory, config_echo)
             if args.format == "json"
@@ -410,13 +287,14 @@ def _is_two_layer_ansatz(circ: AnsatzCircuit) -> bool:
 
 
 def cmd_metric(args) -> int:
-    _, hamiltonian, circ, theta0, _ = _problem_from_args(args)
-    theta = _parse_theta(args.theta, circ.n_params) if args.theta else theta0
+    problem = _problem_from_args(args)
+    circ = problem.circuit
+    theta = _parse_theta(args.theta, circ.n_params) if args.theta else problem.theta0
     if not (0.0 <= args.rank_tol < math.inf):
         raise ConfigError(f"rank_tol must be finite and non-negative, got {args.rank_tol}")
     wanted = _METRIC_NAMES.values() if args.kind == "all" else (_METRIC_NAMES[args.kind],)
     for kind in wanted:
-        metric = metric_for(kind, hamiltonian, circ, theta)
+        metric = metric_for(kind, problem.hamiltonian, circ, theta)
         _print_metric(metric, args.rank_tol)
         if kind is MetricKind.FUBINI_STUDY and _is_two_layer_ansatz(circ):
             # two-layer couplings sit at (1,3) and (2,4); the product of the
@@ -492,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--optimizer", default="vanilla",
                        help="comma list of: vanilla, natural, ite, classical")
     p_run.add_argument("--eta", type=float, default=None, help="learning rate (preset default)")
-    p_run.add_argument("--schedule", choices=("constant", "inverse"), default="constant",
+    p_run.add_argument("--schedule", choices=tuple(_SCHEDULES), default="constant",
                        help="constant eta, or eta/k decay")
     p_run.add_argument("--steps", type=int, default=None, help="max update steps (preset default)")
     p_run.add_argument("--grad-tol", type=float, default=0.0,
                        help="stop when the gradient norm drops below this (0 disables)")
-    p_run.add_argument("--regularization", choices=("eigenfloor", "tikhonov", "pinv"),
+    p_run.add_argument("--regularization", choices=tuple(_POLICIES),
                        default="eigenfloor", help="metric inversion policy")
     p_run.add_argument("--reg-epsilon", type=float, default=1e-10,
                        help="floor/shift (or relative cut for pinv)")

@@ -1,6 +1,9 @@
-"""Built-in case studies and optimizer comparisons.
+"""Problem instances, the built-in case studies and optimizer comparisons.
 
-Two problem families are packaged as named presets:
+A ``Problem`` is a Hamiltonian, an ansatz, a start and run settings; its
+``from_json``/``to_json`` pair is the one reader and writer of the JSON
+problem documents that ``natvqe run --config`` reads and that ``--format
+json`` trajectories echo.  Two problem families are packaged as named presets:
 
 * ``qubit-a`` / ``qubit-b``: drive a single qubit to the ground state of
   sigma_x from two different starting points; the ansatz
@@ -29,10 +32,10 @@ from .optimizers import (
     Trajectory,
     run,
 )
-from .states import AnsatzCircuit, circuit, cnot, phase, ry
+from .states import AnsatzCircuit, Gate, GateKind, check_parameters, circuit, cnot, phase, ry
 
 __all__ = [
-    "Preset",
+    "Problem",
     "OptimizerResult",
     "ComparisonReport",
     "PRESET_NAMES",
@@ -70,8 +73,32 @@ def h2_hamiltonian(alpha: float = 0.4, beta: float = 0.2) -> PauliHamiltonian:
 
 
 @dataclass(frozen=True, eq=False)
-class Preset:
-    """A named problem instance with its published run settings."""
+class Problem:
+    """A named problem instance: a Hamiltonian, an ansatz, a start and run settings.
+
+    Only presets carry a ``reference_energy``: the exact ground energy of the
+    Hamiltonian, checked at construction, which ``compare`` measures against.
+
+    ``from_json`` reads and ``to_json`` writes a problem as a JSON document,
+    the format of ``natvqe run --config``::
+
+        {"hamiltonian": [[0.4, "ZI"], [0.4, "IZ"], [0.2, "XX"]],
+         "circuit": {"n_qubits": 2, "gates": [
+             {"kind": "ry", "targets": [0], "param_index": 0},
+             {"kind": "ry", "targets": [1], "param_index": 1},
+             {"kind": "cnot", "targets": [0, 1]},
+             {"kind": "phase", "targets": [0], "param_index": 2},
+             {"kind": "unitary", "targets": [0], "matrix": [[[0,0],[1,0]],[[1,0],[0,0]]]}]},
+         "theta0": [0.1, 0.2, 0.3], "eta": 0.05, "max_steps": 200}
+
+    Gate kinds: "ry" (y-rotation by twice the parameter), "phase"
+    (diag(1, e^{2i*theta})), "cnot" (targets = [control, target]), "unitary"
+    (explicit matrix; entries are [re, im] pairs).  ``n_qubits`` (1 to
+    ``states.MAX_QUBITS``), targets and ``param_index`` must be JSON integers,
+    and coefficients, matrix entries, ``theta0``, ``eta`` (default 0.05) and
+    ``max_steps`` (a whole number, default 100) JSON numbers, not strings or
+    booleans.
+    """
 
     name: str
     hamiltonian: PauliHamiltonian
@@ -79,40 +106,132 @@ class Preset:
     theta0: tuple[float, ...]
     eta: float
     max_steps: int
-    reference_energy: float
+    reference_energy: float | None = None
 
     def __post_init__(self) -> None:
-        ground = float(np.linalg.eigvalsh(dense_matrix(self.hamiltonian))[0])
-        if abs(ground - self.reference_energy) > 1e-10:
-            raise ValueError(
-                f"reference energy {self.reference_energy} is not the ground energy {ground}"
-            )
+        if self.reference_energy is not None:
+            ground = float(np.linalg.eigvalsh(dense_matrix(self.hamiltonian))[0])
+            if abs(ground - self.reference_energy) > 1e-10:
+                raise ValueError(
+                    f"reference energy {self.reference_energy} is not the ground energy {ground}"
+                )
+
+    @classmethod
+    def from_json(cls, doc: Mapping, name: str) -> Problem:
+        """The problem a JSON document describes; a ``ValueError`` says what is wrong with it."""
+        try:
+            circ = _circuit_from_json(doc["circuit"])
+            hamiltonian = _hamiltonian_from_json(doc["hamiltonian"], circ.n_qubits)
+            theta0 = tuple(_json_number(x, "theta0 entry") for x in doc["theta0"])
+            check_parameters(circ, theta0)
+            max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
+            if not max_steps.is_integer():
+                raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
+            eta = _json_number(doc.get("eta", 0.05), "eta")
+        except KeyError as exc:
+            raise ValueError(f"config file missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad config file: {exc}") from exc
+        return cls(name, hamiltonian, circ, theta0, eta, int(max_steps))
+
+    def to_json(self) -> dict:
+        """The problem as a JSON document, which ``from_json`` reads back gate for gate."""
+        return {
+            "hamiltonian": [[c, s] for c, s in self.hamiltonian.terms],
+            "circuit": {"n_qubits": self.circuit.n_qubits,
+                        "gates": [_gate_to_json(g) for g in self.circuit.gates]},
+            "theta0": list(self.theta0),
+            "eta": self.eta,
+            "max_steps": self.max_steps,
+        }
 
 
-def load_preset(name: str) -> Preset:
+def _json_number(value, what: str) -> float:
+    """A JSON number; JSON booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; JSON booleans, fractions and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _gate_from_json(entry) -> Gate:
+    try:
+        kind = GateKind(entry["kind"])
+        targets = tuple(_json_int(t, "gate target") for t in entry["targets"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ValueError(f"bad gate entry {entry!r}: {exc}") from exc
+    param = entry.get("param_index")
+    param = None if param is None else _json_int(param, "param_index")
+    matrix = None
+    if kind is GateKind.UNITARY:
+        try:
+            matrix = np.array([[complex(_json_number(real, "matrix entry"),
+                                        _json_number(imag, "matrix entry"))
+                                for real, imag in row] for row in entry["matrix"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad unitary matrix in gate {entry!r}") from exc
+    return Gate(kind, targets, param, matrix)
+
+
+def _gate_to_json(gate: Gate) -> dict:
+    entry = {"kind": gate.kind.value, "targets": list(gate.targets)}
+    if gate.param_index is not None:
+        entry["param_index"] = gate.param_index
+    if gate.matrix is not None:
+        entry["matrix"] = [[[z.real, z.imag] for z in row] for row in gate.matrix.tolist()]
+    return entry
+
+
+def _circuit_from_json(entry) -> AnsatzCircuit:
+    try:
+        n_qubits = _json_int(entry["n_qubits"], "n_qubits")
+        gates = [_gate_from_json(g) for g in entry["gates"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"circuit entry needs n_qubits and gates: {exc}") from exc
+    circ = circuit(n_qubits, gates)
+    if circ.n_params == 0:
+        raise ValueError("circuit has no parameterized gate")
+    return circ
+
+
+def _hamiltonian_from_json(terms, n_qubits: int) -> PauliHamiltonian:
+    try:
+        return pauli_sum(n_qubits, [(_json_number(c, "hamiltonian coefficient"), str(s))
+                                    for c, s in terms])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad hamiltonian terms: {exc}") from exc
+
+
+def load_preset(name: str) -> Problem:
     """Look up a built-in preset by name."""
     pi = math.pi
     if name == "qubit-a":
-        return Preset(name, sigma_x_hamiltonian(), single_qubit_ansatz(),
-                      (pi / 12, pi / 12), 0.05, 300, -1.0)
+        return Problem(name, sigma_x_hamiltonian(), single_qubit_ansatz(),
+                       (pi / 12, pi / 12), 0.05, 300, -1.0)
     if name == "qubit-b":
-        return Preset(name, sigma_x_hamiltonian(), single_qubit_ansatz(),
-                      (5 * pi / 12, pi / 12), 0.05, 300, -1.0)
+        return Problem(name, sigma_x_hamiltonian(), single_qubit_ansatz(),
+                       (5 * pi / 12, pi / 12), 0.05, 300, -1.0)
     if name == "h2-a":
-        return Preset(name, h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz(),
-                      (-0.2, -0.2, 0.0, 0.0), 0.05, 1000, -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2))
+        return Problem(name, h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz(),
+                       (-0.2, -0.2, 0.0, 0.0), 0.05, 1000, -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2))
     if name == "h2-plateau":
-        return Preset(name, h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz(),
-                      (7 * pi / 32, pi / 2, 0.0, 0.0), 0.05, 3000, -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2))
+        return Problem(name, h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz(),
+                       (7 * pi / 32, pi / 2, 0.0, 0.0), 0.05, 3000, -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2))
     if name == "toy":
-        return Preset(name, h2_hamiltonian(0.4, 0.02), hardware_efficient_ansatz(),
-                      (-0.2, -0.2, 0.0, 0.0), 0.05, 3000, -math.sqrt(4 * 0.4 ** 2 + 0.02 ** 2))
+        return Problem(name, h2_hamiltonian(0.4, 0.02), hardware_efficient_ansatz(),
+                       (-0.2, -0.2, 0.0, 0.0), 0.05, 3000, -math.sqrt(4 * 0.4 ** 2 + 0.02 ** 2))
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizerResult:
-    """Outcome of one optimizer on one preset."""
+    """Outcome of one optimizer on one problem."""
 
     steps_to_threshold: int | None
     final_energy: float
@@ -122,7 +241,7 @@ class OptimizerResult:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Per-optimizer outcomes for one preset under identical run settings."""
+    """Per-optimizer outcomes for one problem under identical run settings."""
 
     threshold: float
     results: Mapping[OptimizerKind, OptimizerResult]
@@ -137,7 +256,7 @@ def steps_to_threshold(trajectory: Trajectory, reference: float, threshold: floa
 
 
 def compare(
-    preset: Preset,
+    problem: Problem,
     kinds: Sequence[OptimizerKind],
     threshold: float = DEFAULT_THRESHOLD,
     *,
@@ -145,16 +264,19 @@ def compare(
     policy: RegularizationPolicy = DEFAULT_POLICY,
     max_steps: int | None = None,
 ) -> ComparisonReport:
-    """Run several optimizers on a preset under one shared schedule/policy."""
-    schedule = schedule if schedule is not None else ConstantRate(preset.eta)
-    limit = max_steps if max_steps is not None else preset.max_steps
+    """Run several optimizers on a problem with a reference energy, such as a
+    preset, under one shared schedule/policy."""
+    if problem.reference_energy is None:
+        raise ValueError(f"problem {problem.name!r} has no reference energy to compare against")
+    schedule = schedule if schedule is not None else ConstantRate(problem.eta)
+    limit = max_steps if max_steps is not None else problem.max_steps
     results: dict[OptimizerKind, OptimizerResult] = {}
     for kind in kinds:
-        trajectory = run(kind, preset.hamiltonian, preset.circuit, preset.theta0,
+        trajectory = run(kind, problem.hamiltonian, problem.circuit, problem.theta0,
                          schedule, policy, max_steps=limit)
         final = trajectory.final
         results[kind] = OptimizerResult(
-            steps_to_threshold(trajectory, preset.reference_energy, threshold),
+            steps_to_threshold(trajectory, problem.reference_energy, threshold),
             final.energy,
             final.theta,
             trajectory,

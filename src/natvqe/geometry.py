@@ -44,7 +44,6 @@ __all__ = [
     "metric_for",
     "singularity_report",
     "entanglement_entropy",
-    "psd_order_check",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -208,10 +207,3 @@ def entanglement_entropy(state: np.ndarray) -> float:
     lam = np.clip(singular ** 2, 0.0, 1.0)
     entropy = -sum(float(l) * float(np.log(l)) for l in lam if l > 0.0)
     return max(entropy, 0.0)
-
-
-def psd_order_check(a: MetricMatrix, b: MetricMatrix, tol: float) -> bool:
-    """True iff a >= b as matrices: the smallest eigenvalue of (a - b) is >= -tol."""
-    if a.dim != b.dim:
-        raise ValueError(f"metric dimensions differ: {a.dim} vs {b.dim}")
-    return bool(np.linalg.eigvalsh(a.values - b.values)[0] >= -tol)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import AnsatzCircuit, state_and_tangents
+from .states import MAX_QUBITS, AnsatzCircuit, state_and_tangents
 
 __all__ = [
     "PauliHamiltonian",
@@ -50,8 +50,8 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}")
         if not self.terms:
             raise ValueError("hamiltonian needs at least one term")
         for coeff, label in self.terms:

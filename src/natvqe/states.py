@@ -26,8 +26,8 @@ Tangent row i is exactly zero until the first gate of slot i, so a step
 multiplies only a prefix of the batch: the state row, every tangent row up to
 the highest slot opened so far and one stand-in zero row, at most m + 1 rows.
 When a gate opens a slot beyond the prefix, the rows it adds are copies of the
-stand-in, made after the step's dot and before the generator's contribution
-is added.  This keeps the bits of the full batch.  Each row of a ``np.dot``
+stand-in, made by the step's gather, so they go through its dot like every
+other row.  This keeps the bits of the full batch.  Each row of a ``np.dot``
 product is the same whatever the row count, as long as there are at least two
 rows (numpy sends a one-row product to gemv, which rounds differently from
 gemm), and the stand-in has gone through every gate, so it carries the signed
@@ -51,8 +51,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 NORM_TOL = 1e-12
+MAX_QUBITS = 10  # a dense 10-qubit Hamiltonian takes 16 MB, a 12-qubit one 256 MB
 
 __all__ = [
+    "MAX_QUBITS",
     "GateKind",
     "Gate",
     "AnsatzCircuit",
@@ -161,8 +163,9 @@ class AnsatzCircuit:
     m + 1 rows.  The stand-in has gone through every gate so far, so it holds
     the zeros, signs included, that the rows not yet reached hold in a
     full-batch sweep; a step that opens a slot beyond the batch copies it
-    into the new rows after its dot.  A batch short of m + 1 rows has at
-    least two, so BLAS gives each row the bits it has in the full batch.
+    into the new rows with its gather, before its dot.  A batch short of
+    m + 1 rows has at least two, so BLAS gives each row the bits it has in
+    the full batch.
     ``_memo`` holds the last ``state_and_tangents`` result as
     ``(theta bytes, phi, tangents)``.
     """
@@ -174,8 +177,8 @@ class AnsatzCircuit:
     _memo: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}")
         used: set[int] = set()
         for gate in self.gates:
             if any(t >= self.n_qubits for t in gate.targets):
@@ -266,17 +269,19 @@ def _compile(gates: tuple[Gate, ...], n: int, m: int) -> tuple:
 
     ``held[j]`` is the amplitude column j holds.  A CNOT flips the target bit
     of every held index whose control bit is set.  Any other gate is a step
-    ``(gather, index, matrix, offset, grow)``, where ``out[:, j] =
-    in[:, gather[j]]`` puts the other qubits first, in natural order, and the
-    targets last, in listed order.  A fixed gate carries its ``matrix``,
+    ``(gather, axis, index, matrix, offset)``, where ``out[:, j] =
+    in[:, gather[j]]`` (``axis`` 1) puts the other qubits first, in natural
+    order, and the targets last, in listed order.  A gate that opens a slot
+    beyond the batch gathers the flattened batch instead (``axis`` None): row
+    r of its result is that column gather of row min(r, rows - 1), so the new
+    rows are copies of the stand-in.  A fixed gate carries its ``matrix``,
     transposed.  The parametrized gate number ``index`` adds its pushed state
-    row at flat row ``offset``, and if it opens a slot beyond the batch it
-    carries ``grow``, the row gather that copies the stand-in into the new
-    rows.
+    row at flat row ``offset``.
     """
-    held = natural = np.arange(2 ** n)
-    half = 2 ** (n - 1)
-    start = np.zeros((min(2, m + 1), 2 ** n), dtype=complex)
+    dim = 2 ** n
+    held = natural = np.arange(dim)
+    half = dim // 2
+    start = np.zeros((min(2, m + 1), dim), dtype=complex)
     start[0, 0] = 1.0
     start.setflags(write=False)
     rows = len(start)
@@ -288,18 +293,19 @@ def _compile(gates: tuple[Gate, ...], n: int, m: int) -> tuple:
             continue
         order = [q for q in range(n) if q not in gate.targets] + list(gate.targets)
         want = natural.reshape((2,) * n).transpose(order).ravel()
+        gather, axis = _gather(held, want), 1
         if gate.kind in _PARAMETRIZED:
             grown = min(gate.param_index + 3, m + 1)
-            grow = None
             if grown > rows:
-                grow = np.minimum(np.arange(grown), rows - 1)
-                grow.setflags(write=False)
-                rows = grown
-            step = (index, None, (1 + gate.param_index) * half, grow)
+                columns = natural if gather is None else gather
+                gather = np.minimum(np.arange(grown), rows - 1)[:, None] * dim + columns
+                gather.setflags(write=False)
+                axis, rows = None, grown
+            step = (index, None, (1 + gate.param_index) * half)
             index += 1
         else:
-            step = (None, gate.matrix.T, None, None)
-        steps.append((_gather(held, want), *step))
+            step = (None, gate.matrix.T, None)
+        steps.append((gather, axis, *step))
         held = want
     unitary_plan = _unitary_plan([g for g in gates if g.kind in _PARAMETRIZED])
     return tuple(steps), _gather(held, natural), start, unitary_plan
@@ -316,27 +322,27 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     the gate is applied.  The circuit remembers the last result, so asking
     again at the same theta (the same bytes) returns the same arrays.
     """
-    theta = check_parameters(circ, theta)
+    theta = np.asarray(theta, dtype=float)
     key = theta.tobytes()
     memo = circ._memo
-    if memo is not None and memo[0] == key:
+    # a stored key was finite when it was stored; the shape test comes first
+    # because an array of another shape can carry the same bytes
+    if theta.shape == (circ.n_params,) and memo is not None and memo[0] == key:
         return memo[1], memo[2]
+    theta = check_parameters(circ, theta)
     steps, restore, batch, unitary_plan = circ._plan
     dim = batch.shape[1]
     half = dim // 2
     unitaries, derivatives = _unitaries(theta, *unitary_plan)
-    for gather, index, matrix, offset, grow in steps:
+    for gather, axis, index, matrix, offset in steps:
         if gather is not None:
-            batch = batch.take(gather, axis=1)
+            batch = batch.take(gather, axis=axis)
         if matrix is not None:
             batch = np.dot(batch.reshape(-1, len(matrix)), matrix).reshape(-1, dim)
             continue
         flat = batch.reshape(-1, 2)
         pushed = np.dot(flat[:half], derivatives[index])
         flat = np.dot(flat, unitaries[index])
-        if grow is not None:
-            # the new rows copy the stand-in, which the dot took through this gate
-            flat = flat.reshape(-1, dim).take(grow, axis=0).reshape(-1, 2)
         flat[offset:offset + half] += pushed
         batch = flat.reshape(-1, dim)
     flat = batch if restore is None else batch.take(restore, axis=1)

@@ -21,15 +21,15 @@ from natvqe import (
     ry,
 )
 from natvqe.cli import (
-    _gate_echo,
-    _parse_circuit,
     csv_header,
     main,
     parse_trajectory_csv,
     trajectory_to_csv,
     trajectory_to_json,
 )
+from natvqe.experiments import Problem
 from natvqe.optimizers import Trajectory, TrajectoryStep
+from natvqe.states import MAX_QUBITS
 
 CUSTOM_CONFIG = {
     "hamiltonian": [[0.4, "ZI"], [0.4, "IZ"], [0.2, "XX"]],
@@ -219,6 +219,20 @@ class TestRunCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_qubit_count_beyond_the_bound_exits_at_once(self, tmp_path):
+        # compiling 10**30 qubits used to hang; the bound is checked before anything is built
+        doc = dict(CUSTOM_CONFIG, circuit=dict(CUSTOM_CONFIG["circuit"], n_qubits=10 ** 30))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "natvqe.cli", "run", "--config", str(write_config(tmp_path, doc)),
+             "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert f"n_qubits must be between 1 and {MAX_QUBITS}" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_json_config_echo_rebuilds_the_circuit(self, tmp_path):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -231,8 +245,9 @@ class TestRunCommand:
         code = main(["run", "--config", str(write_config(tmp_path, doc)), "--steps", "2",
                      "--format", "json", "--out-dir", str(tmp_path)])
         assert code == 0
-        echo = json.loads((tmp_path / "problem_vanilla.json").read_text())["config"]["circuit"]
-        rebuilt, original = _parse_circuit(echo), _parse_circuit(doc["circuit"])
+        echo = json.loads((tmp_path / "problem_vanilla.json").read_text())["config"]
+        rebuilt = Problem.from_json(echo, "echo").circuit
+        original = Problem.from_json(doc, "doc").circuit
         assert rebuilt.n_qubits == original.n_qubits
         assert len(rebuilt.gates) == len(original.gates)
         for a, b in zip(rebuilt.gates, original.gates):
@@ -348,11 +363,12 @@ def reference_json(trajectory, config_echo):
 
 
 def config_echo(circ, hamiltonian, theta0, preset):
+    doc = Problem(preset or "echo", hamiltonian, circ, tuple(theta0), 0.05, 4).to_json()
     return {
         "preset": preset,
-        "hamiltonian": [[c, s] for c, s in hamiltonian.terms],
-        "circuit": {"n_qubits": circ.n_qubits, "gates": [_gate_echo(g) for g in circ.gates]},
-        "theta0": list(theta0),
+        "hamiltonian": doc["hamiltonian"],
+        "circuit": doc["circuit"],
+        "theta0": doc["theta0"],
         "optimizer": "natural",
         "schedule": {"kind": "constant", "eta": 0.05},
         "regularization": {"kind": "eigenfloor", "epsilon": 1e-10},

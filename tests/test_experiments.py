@@ -1,5 +1,6 @@
-"""Preset constants and optimizer comparisons."""
+"""Preset constants, the problem JSON schema and optimizer comparisons."""
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -11,11 +12,16 @@ from natvqe import (
     ConstantRate,
     OptimizerKind,
     PRESET_NAMES,
+    MetricUndefinedError,
+    Problem,
     compare,
     load_preset,
+    pauli_sum,
+    run,
     steps_to_threshold,
 )
 from natvqe.observables import dense_matrix
+from test_states import random_circuit
 
 V, N, I = OptimizerKind.VANILLA, OptimizerKind.NATURAL_FS, OptimizerKind.ITE
 
@@ -61,8 +67,95 @@ class TestPresets:
         ground = np.linalg.eigvalsh(dense_matrix(p.hamiltonian))[0]
         assert abs(p.reference_energy - ground) < 1e-10
 
+    def test_wrong_reference_energy_rejected(self):
+        p = load_preset("qubit-a")
+        with pytest.raises(ValueError, match="not the ground energy"):
+            Problem(p.name, p.hamiltonian, p.circuit, p.theta0, p.eta, p.max_steps, -0.9)
+
+
+def gate_layout(circ):
+    """Everything that defines a circuit, unitary bytes included."""
+    return circ.n_qubits, circ.n_params, [
+        (g.kind, g.targets, g.param_index, None if g.matrix is None else g.matrix.tobytes())
+        for g in circ.gates
+    ]
+
+
+def five_steps(kind, problem):
+    """The bits of a 5-step run, or the message of the MetricUndefinedError it raises."""
+    try:
+        traj = run(kind, problem.hamiltonian, problem.circuit, problem.theta0,
+                   ConstantRate(problem.eta), max_steps=5)
+    except MetricUndefinedError as exc:
+        return str(exc)
+    records = [(s.k, np.array([*s.theta, s.energy, s.grad_norm, s.det_metric,
+                               s.min_eig_metric]).tobytes()) for s in traj.steps]
+    return records, traj.terminal_reason
+
+
+def random_problems(seed, count):
+    """``random_circuit``s with a random Pauli sum, start, rate and step count."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        circ = random_circuit(rng)
+        n = circ.n_qubits
+        half_integer = rng.random() < 0.5  # degenerate spectra, where FC can be undefined
+        terms = [(float(rng.integers(-3, 4)) / 2 if half_integer else float(rng.uniform(-1, 1)),
+                  "".join(rng.choice(list("IXYZ"), n))) for _ in range(int(rng.integers(1, 5)))]
+        theta0 = tuple(float(rng.integers(8)) * np.pi / 4 if rng.random() < 0.5
+                       else float(rng.uniform(-np.pi, np.pi)) for _ in range(circ.n_params))
+        yield Problem(f"random{index}", pauli_sum(n, terms), circ, theta0,
+                      float(rng.uniform(0.01, 0.2)), int(rng.integers(1, 500)))
+
+
+class TestProblemJson:
+    @pytest.mark.parametrize("source", [*PRESET_NAMES, "random-200"])
+    def test_round_trip_gives_the_same_runs(self, source):
+        random = source == "random-200"
+        undefined = 0
+        for problem in random_problems(2024, 200) if random else [load_preset(source)]:
+            doc = json.loads(json.dumps(problem.to_json()))
+            rebuilt = Problem.from_json(doc, problem.name)
+            assert rebuilt.name == problem.name
+            assert rebuilt.reference_energy is None
+            assert rebuilt.hamiltonian == problem.hamiltonian
+            assert gate_layout(rebuilt.circuit) == gate_layout(problem.circuit)
+            assert np.array(rebuilt.theta0).tobytes() == np.array(problem.theta0).tobytes()
+            assert (rebuilt.eta, rebuilt.max_steps) == (problem.eta, problem.max_steps)
+            for kind in OptimizerKind:
+                expected = five_steps(kind, problem)
+                assert five_steps(kind, rebuilt) == expected
+                undefined += isinstance(expected, str)
+        if random:
+            assert undefined > 0  # the undefined case is exercised
+
+    def test_document_fields(self):
+        doc = load_preset("h2-a").to_json()
+        assert set(doc) == {"hamiltonian", "circuit", "theta0", "eta", "max_steps"}
+        assert doc["circuit"]["gates"][2] == {"kind": "cnot", "targets": [0, 1]}
+        assert doc["max_steps"] == 1000
+
+    def test_defaults(self):
+        doc = load_preset("qubit-a").to_json()
+        del doc["eta"], doc["max_steps"]
+        problem = Problem.from_json(doc, "qubit")
+        assert (problem.eta, problem.max_steps) == (0.05, 100)
+
+    def test_errors_are_value_errors(self):
+        doc = load_preset("qubit-a").to_json()
+        del doc["theta0"]
+        with pytest.raises(ValueError, match="config file missing field 'theta0'"):
+            Problem.from_json(doc, "qubit")
+        with pytest.raises(ValueError, match="bad config file: max_steps must be a whole number"):
+            Problem.from_json(dict(load_preset("qubit-a").to_json(), max_steps=2.5), "qubit")
+
 
 class TestCompare:
+    def test_needs_a_reference_energy(self):
+        problem = Problem.from_json(load_preset("qubit-a").to_json(), "qubit")
+        with pytest.raises(ValueError, match="no reference energy"):
+            compare(problem, [V])
+
     def test_geometry_aware_kinds_converge_first(self):
         report = compare(load_preset("qubit-a"), [V, N, I], threshold=0.01)
         hits = {k: r.steps_to_threshold for k, r in report.results.items()}

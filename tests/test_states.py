@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from natvqe import build_state, circuit, cnot, fixed_unitary, phase, ry, state_and_tangents
 from natvqe.experiments import hardware_efficient_ansatz, single_qubit_ansatz
-from natvqe.states import AnsatzCircuit, Gate, GateKind
+from natvqe.observables import pauli_sum
+from natvqe.states import MAX_QUBITS, AnsatzCircuit, Gate, GateKind
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 
@@ -142,6 +143,20 @@ class TestCircuitValidation:
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
             cnot(0, 0)
+
+    @pytest.mark.parametrize("n_qubits", [0, MAX_QUBITS + 1, 10 ** 30])
+    def test_qubit_count_out_of_bounds_rejected(self, n_qubits):
+        # checked before the sweep is compiled: 2**n amplitudes are never allocated
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}"):
+            AnsatzCircuit(n_qubits, (), 0)
+
+    def test_hamiltonian_qubit_count_out_of_bounds_rejected(self):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}"):
+            pauli_sum(MAX_QUBITS + 1, [(1.0, "Z" * (MAX_QUBITS + 1))])
+
+    def test_largest_qubit_count_accepted(self):
+        circ = circuit(MAX_QUBITS, [ry(MAX_QUBITS - 1, 0)])
+        assert state_and_tangents(circ, [0.3])[0].shape == (2 ** MAX_QUBITS,)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +403,21 @@ class TestSweepMemo:
             ref_phi, ref_tangents = tensordot_sweep(circ, theta)
             assert phi.tobytes() == ref_phi.tobytes()
             assert tangents.tobytes() == ref_tangents.tobytes()
+
+    def test_non_finite_theta_rejected_after_a_memo_fill(self):
+        circ = hardware_efficient_ansatz()
+        state_and_tangents(circ, [0.1, 0.2, 0.3, 0.4])
+        for bad in ([np.nan, 0.2, 0.3, 0.4], [0.1, 0.2, np.inf, 0.4]):
+            with pytest.raises(ValueError, match="parameters must be finite"):
+                state_and_tangents(circ, bad)
+
+    def test_wrong_shape_with_the_remembered_bytes_rejected(self):
+        # a (2, 2) array can carry the bytes of the remembered 4-vector
+        circ = hardware_efficient_ansatz()
+        theta = np.array([0.1, 0.2, 0.3, 0.4])
+        state_and_tangents(circ, theta)
+        with pytest.raises(ValueError, match=r"takes 4 parameter\(s\), got shape \(2, 2\)"):
+            state_and_tangents(circ, theta.reshape(2, 2))
 
     def test_circuit_is_freed_after_use(self):
         # plan and memo live on the circuit; nothing else keeps it alive
