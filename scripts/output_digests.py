@@ -22,9 +22,13 @@ into an older checkout to digest that tree. It digests
 * the JSON trajectories of ``natvqe run --preset P --optimizer vanilla,natural
   --format json --steps 3`` for every preset, and of a ``natvqe run --config``
   whose circuit has ry, phase, CNOT and a seeded two-qubit unitary;
+* the standard output of ``natvqe presets``, ``natvqe run --help`` and
+  ``natvqe metric --help``, which show the preset table and the option
+  defaults;
 * the exit code and standard error of ``natvqe run --config`` for each of a set
   of bad config files (wrong JSON types, a missing field, not JSON, a theta0 of
-  the wrong length).
+  the wrong length, integers too large for a float or past Python's digit
+  limit, an unused parameter slot, bytes that are not UTF-8).
 
 The workloads come from ``perfbench/workloads.py``, which is only imported.
 """
@@ -90,8 +94,10 @@ def landscape_digests(seed: int, tmp: Path) -> list[str]:
     hashes = {name: hashlib.sha256() for name in ("F", "A", "FC", "p", "report")}
     for (_, unit), (circ, hamiltonian, theta, _) in zip(landscape.units(), landscape.points):
         f, a, fc, report = unit()
-        p = observables.outcome_distribution(observables.spectral_decompose(hamiltonian),
-                                             states.build_state(circ, theta)).probabilities
+        dist = observables.outcome_distribution(observables.spectral_decompose(hamiltonian),
+                                                states.build_state(circ, theta))
+        # an array, or an object holding one in trees from before it was an array
+        p = getattr(dist, "probabilities", dist)
         for name, values in (("F", f), ("A", a), ("FC", fc), ("p", p)):
             hashes[name].update(np.ascontiguousarray(values).tobytes())
         hashes["report"].update(repr(report).encode())
@@ -109,6 +115,16 @@ def metric_digests() -> list[str]:
         code, out, err = _cli(argv)
         lines.append(f"metric {preset} {kind} theta={theta or 'theta0'} exit={code} "
                      f"stdout {sha(out.encode())} stderr {sha(err.encode())}")
+    return lines
+
+
+def listing_digests() -> list[str]:
+    os.environ["COLUMNS"] = "80"  # argparse wraps its help to the terminal width
+    lines = []
+    for argv in (["presets"], ["run", "--help"], ["metric", "--help"]):
+        code, out, err = _cli(argv)
+        lines.append(f"listing {' '.join(argv)} exit={code} stdout {sha(out.encode())} "
+                     f"stderr {sha(err.encode())}")
     return lines
 
 
@@ -160,7 +176,7 @@ def echo_digests(tmp: Path) -> list[str]:
 
 
 def _bad_configs() -> dict[str, object]:
-    """Config documents (or raw text) that ``natvqe run`` must reject with exit 2."""
+    """Config documents (or raw text or bytes) that ``natvqe run`` must reject with exit 2."""
     good = _unitary_config()
 
     def with_gate(index: int, **fields) -> dict:
@@ -170,6 +186,9 @@ def _bad_configs() -> dict[str, object]:
 
     matrix = [[list(v) for v in row] for row in good["circuit"]["gates"][3]["matrix"]]
     matrix[1][2][0] = True
+    huge = 10 ** 400  # an integer past the float range
+    huge_matrix = [[list(v) for v in row] for row in matrix]
+    huge_matrix[1][2][0] = huge
     missing = dict(good)
     del missing["theta0"]
     return {
@@ -181,6 +200,16 @@ def _bad_configs() -> dict[str, object]:
         "missing-theta0": missing,
         "not-json": "{not json",
         "theta0-length": dict(good, theta0=[0.3, -0.7, 1.1]),
+        # older trees exit 3 on these, and list every unused slot of the last one
+        "huge-eta": dict(good, eta=huge),
+        "huge-max-steps": dict(good, max_steps=huge),
+        "huge-theta0-entry": dict(good, theta0=[0.3, huge, 1.1, 0.25]),
+        "huge-coefficient": dict(good, hamiltonian=[[huge, "ZI"], [-0.3, "IX"]]),
+        "huge-matrix-entry": with_gate(3, matrix=huge_matrix),
+        "5000-digit-literal": json.dumps(good).replace('"eta": 0.07', '"eta": 1' + "0" * 4999),
+        "not-utf-8": b'{"eta": "\xff"}',
+        # no larger: older trees build a set of every slot number below it
+        "param-index-million": with_gate(4, param_index=10 ** 6),
     }
 
 
@@ -188,7 +217,9 @@ def config_error_digests(tmp: Path) -> list[str]:
     lines = []
     for label, doc in _bad_configs().items():
         config = tmp / f"bad-{label}.json"
-        config.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, dict):
+            doc = json.dumps(doc)
+        config.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         out = tmp / f"bad-{label}"
         code, _, err = _cli(["run", "--config", str(config), "--optimizer", "vanilla,natural",
                              "--out-dir", str(out)])
@@ -207,7 +238,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         lines = (figures_digests(tmp) + metric_digests() + echo_digests(tmp)
-                 + config_error_digests(tmp))
+                 + listing_digests() + config_error_digests(tmp))
         for seed in args.seeds:
             lines += wide_digests(seed, tmp)
             lines += landscape_digests(seed, tmp)

@@ -31,8 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_preset
-from .geometry import MetricKind, MetricMatrix, metric_for, singularity_report
+from .geometry import DEFAULT_RANK_TOL, MetricKind, MetricMatrix, metric_for, singularity_report
 from .optimizers import (
+    DEFAULT_POLICY,
     ConstantRate,
     EigenFloor,
     InverseStepRate,
@@ -77,6 +78,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="optimize and write trajectory files")
     add_problem_args(p_run)
     p_run.add_argument("--optimizer", default="vanilla",
-                       help="comma list of: vanilla, natural, ite, classical")
+                       help=f"comma list of: {', '.join(_OPTIMIZER_NAMES)}")
     p_run.add_argument("--eta", type=float, default=None, help="learning rate (preset default)")
     p_run.add_argument("--schedule", choices=tuple(_SCHEDULES), default="constant",
                        help="constant eta, or eta/k decay")
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop when the gradient norm drops below this (0 disables)")
     p_run.add_argument("--regularization", choices=tuple(_POLICIES),
                        default="eigenfloor", help="metric inversion policy")
-    p_run.add_argument("--reg-epsilon", type=float, default=1e-10,
+    p_run.add_argument("--reg-epsilon", type=float, default=DEFAULT_POLICY.epsilon,
                        help="floor/shift (or relative cut for pinv)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--out-dir", default=None,
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_args(p_metric)
     p_metric.add_argument("--theta", default=None, help="comma-separated parameter values")
     p_metric.add_argument("--kind", choices=(*_METRIC_NAMES, "all"), default="fs")
-    p_metric.add_argument("--rank-tol", type=float, default=1e-9)
+    p_metric.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p_metric.set_defaults(func=cmd_metric)
 
     p_plot = sub.add_parser("plot", help="render trajectory CSVs as SVG")

@@ -3,7 +3,8 @@
 A ``Problem`` is a Hamiltonian, an ansatz, a start and run settings; its
 ``from_json``/``to_json`` pair is the one reader and writer of the JSON
 problem documents that ``natvqe run --config`` reads and that ``--format
-json`` trajectories echo.  Two problem families are packaged as named presets:
+json`` trajectories echo.  Two problem families are packaged as named presets,
+one row each of the ``_PRESETS`` table, whose keys in order are ``PRESET_NAMES``:
 
 * ``qubit-a`` / ``qubit-b``: drive a single qubit to the ground state of
   sigma_x from two different starting points; the ansatz
@@ -16,8 +17,8 @@ json`` trajectories echo.  Two problem families are packaged as named presets:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import pi, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,8 +48,6 @@ __all__ = [
     "steps_to_threshold",
     "compare",
 ]
-
-PRESET_NAMES = ("qubit-a", "qubit-b", "h2-a", "h2-plateau", "toy")
 
 DEFAULT_THRESHOLD = 0.01
 
@@ -96,8 +95,8 @@ class Problem:
     (explicit matrix; entries are [re, im] pairs).  ``n_qubits`` (1 to
     ``states.MAX_QUBITS``), targets and ``param_index`` must be JSON integers,
     and coefficients, matrix entries, ``theta0``, ``eta`` (default 0.05) and
-    ``max_steps`` (a whole number, default 100) JSON numbers, not strings or
-    booleans.
+    ``max_steps`` (a whole number, default 100) JSON numbers that fit a float,
+    not strings or booleans.
     """
 
     name: str
@@ -147,10 +146,13 @@ class Problem:
 
 
 def _json_number(value, what: str) -> float:
-    """A JSON number; JSON booleans and strings are not numbers."""
+    """A JSON number that fits a float; JSON booleans and strings are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range, whose digits are not echoed
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _json_int(value, what: str) -> int:
@@ -208,25 +210,29 @@ def _hamiltonian_from_json(terms, n_qubits: int) -> PauliHamiltonian:
         raise ValueError(f"bad hamiltonian terms: {exc}") from exc
 
 
+# name -> (Hamiltonian, ansatz function, theta0, eta, max_steps, reference energy)
+_PRESETS = {
+    "qubit-a": (sigma_x_hamiltonian(), single_qubit_ansatz,
+                (pi / 12, pi / 12), 0.05, 300, -1.0),
+    "qubit-b": (sigma_x_hamiltonian(), single_qubit_ansatz,
+                (5 * pi / 12, pi / 12), 0.05, 300, -1.0),
+    "h2-a": (h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz,
+             (-0.2, -0.2, 0.0, 0.0), 0.05, 1000, -sqrt(4 * 0.4 ** 2 + 0.2 ** 2)),
+    "h2-plateau": (h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz,
+                   (7 * pi / 32, pi / 2, 0.0, 0.0), 0.05, 3000, -sqrt(4 * 0.4 ** 2 + 0.2 ** 2)),
+    "toy": (h2_hamiltonian(0.4, 0.02), hardware_efficient_ansatz,
+            (-0.2, -0.2, 0.0, 0.0), 0.05, 3000, -sqrt(4 * 0.4 ** 2 + 0.02 ** 2)),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def load_preset(name: str) -> Problem:
-    """Look up a built-in preset by name."""
-    pi = math.pi
-    if name == "qubit-a":
-        return Problem(name, sigma_x_hamiltonian(), single_qubit_ansatz(),
-                       (pi / 12, pi / 12), 0.05, 300, -1.0)
-    if name == "qubit-b":
-        return Problem(name, sigma_x_hamiltonian(), single_qubit_ansatz(),
-                       (5 * pi / 12, pi / 12), 0.05, 300, -1.0)
-    if name == "h2-a":
-        return Problem(name, h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz(),
-                       (-0.2, -0.2, 0.0, 0.0), 0.05, 1000, -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2))
-    if name == "h2-plateau":
-        return Problem(name, h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz(),
-                       (7 * pi / 32, pi / 2, 0.0, 0.0), 0.05, 3000, -math.sqrt(4 * 0.4 ** 2 + 0.2 ** 2))
-    if name == "toy":
-        return Problem(name, h2_hamiltonian(0.4, 0.02), hardware_efficient_ansatz(),
-                       (-0.2, -0.2, 0.0, 0.0), 0.05, 3000, -math.sqrt(4 * 0.4 ** 2 + 0.02 ** 2))
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    """Look up a built-in preset by name; each call builds a fresh circuit."""
+    if name not in PRESET_NAMES:  # a tuple: an unhashable name is unknown, not a TypeError
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    hamiltonian, ansatz, theta0, eta, max_steps, reference = _PRESETS[name]
+    return Problem(name, hamiltonian, ansatz(), theta0, eta, max_steps, reference)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +249,6 @@ class OptimizerResult:
 class ComparisonReport:
     """Per-optimizer outcomes for one problem under identical run settings."""
 
-    threshold: float
     results: Mapping[OptimizerKind, OptimizerResult]
 
 
@@ -281,4 +286,4 @@ def compare(
             final.theta,
             trajectory,
         )
-    return ComparisonReport(threshold=threshold, results=results)
+    return ComparisonReport(results)

@@ -22,7 +22,6 @@ from .states import MAX_QUBITS, AnsatzCircuit, state_and_tangents
 __all__ = [
     "PauliHamiltonian",
     "SpectralDecomposition",
-    "OutcomeDistribution",
     "pauli_sum",
     "dense_matrix",
     "energy",
@@ -184,27 +183,8 @@ def spectral_decompose(hamiltonian: PauliHamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(np.array(eigenvalues), v, np.array(boundaries[:-1]))
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Measurement-outcome probabilities aligned with a SpectralDecomposition."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        if np.any(p < -1e-10) or np.any(p > 1.0 + 1e-10):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-
-def outcome_distribution(
-    decomposition: SpectralDecomposition, state: np.ndarray
-) -> OutcomeDistribution:
-    """Probabilities p_i = <phi|E_i|phi> of each spectral outcome.
+def outcome_distribution(decomposition: SpectralDecomposition, state: np.ndarray) -> np.ndarray:
+    """Probabilities p_i = <phi|E_i|phi> of each spectral outcome, as a read-only array.
 
     Read off the eigenbasis coefficients of phi (``SpectralDecomposition.expand``):
     one d x d product for all outcomes, the same p the classical Fisher metric uses.
@@ -212,4 +192,11 @@ def outcome_distribution(
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (len(decomposition.basis),):
         raise ValueError("decomposition and state dimensions do not match")
-    return OutcomeDistribution(decomposition.expand(vec)[1])
+    p = decomposition.expand(vec)[1]
+    if np.any(p < -1e-10) or np.any(p > 1.0 + 1e-10):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if abs(p.sum() - 1.0) > 1e-10:
+        raise ValueError("probabilities must sum to 1")
+    p = np.clip(p, 0.0, 1.0)
+    p.setflags(write=False)
+    return p

@@ -154,6 +154,8 @@ def fixed_unitary(matrix: np.ndarray, *targets: int) -> Gate:
 class AnsatzCircuit:
     """Ordered gate list defining U(theta) on ``n_qubits`` with ``n_params`` slots.
 
+    ``n_params`` is derived: the highest slot + 1.  Every slot below it must be used.
+
     ``_plan`` is the compiled sweep ``(steps, restore, start, unitary_plan)``:
     one step per gate other than CNOT, the gather back to natural order, the
     read-only starting batch (the state |0..0> and the stand-in zero row) and
@@ -172,7 +174,7 @@ class AnsatzCircuit:
 
     n_qubits: int
     gates: tuple[Gate, ...]
-    n_params: int
+    n_params: int = field(init=False)
     _plan: tuple = field(init=False, repr=False)
     _memo: tuple | None = field(init=False, repr=False, default=None)
 
@@ -184,21 +186,21 @@ class AnsatzCircuit:
             if any(t >= self.n_qubits for t in gate.targets):
                 raise ValueError(f"gate targets {gate.targets} exceed {self.n_qubits} qubits")
             if gate.param_index is not None:
-                if gate.param_index >= self.n_params:
-                    raise ValueError(f"parameter index {gate.param_index} out of range")
                 used.add(gate.param_index)
-        missing = set(range(self.n_params)) - used
-        if missing:
-            raise ValueError(f"parameter slots never used by any gate: {sorted(missing)}")
-        object.__setattr__(self, "_plan", _compile(self.gates, self.n_qubits, self.n_params))
+        n_params = max(used) + 1 if used else 0
+        if len(used) < n_params:
+            # the first ten gaps: a slot number can be huge, the gate count is not
+            missing = [k for k in range(min(n_params, len(used) + 10)) if k not in used][:10]
+            more = n_params - len(used) - len(missing)
+            raise ValueError(f"parameter slots never used by any gate: {missing}"
+                             + (f" and {more} more" if more else ""))
+        object.__setattr__(self, "n_params", n_params)
+        object.__setattr__(self, "_plan", _compile(self.gates, self.n_qubits, n_params))
 
 
 def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
-    """Build a circuit, inferring the parameter count from the gate list."""
-    gates = tuple(gates)
-    indices = {g.param_index for g in gates if g.param_index is not None}
-    n_params = max(indices) + 1 if indices else 0
-    return AnsatzCircuit(n_qubits, gates, n_params)
+    """Build a circuit from any iterable of gates."""
+    return AnsatzCircuit(n_qubits, tuple(gates))
 
 
 def check_parameters(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:

@@ -124,7 +124,7 @@ def nondegenerate_qubit_points():
     points = []
     while len(points) < 1000:
         theta = rng.uniform(-np.pi, np.pi, 2)
-        probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
+        probs = outcome_distribution(decomp, build_state(circ, theta))
         if probs.min() > 1e-3:
             points.append(theta)
     return circ, decomp, points

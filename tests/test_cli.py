@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -60,6 +61,21 @@ def with_gate(index, gate):
     gates = list(CUSTOM_CONFIG["circuit"]["gates"])
     gates[index] = gate
     return dict(CUSTOM_CONFIG["circuit"], gates=gates)
+
+
+def run_in_subprocess(tmp_path, doc):
+    """``natvqe run --config`` on ``doc`` in a fresh process that must exit 2 and write nothing;
+    returns its standard error."""
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "natvqe.cli", "run", "--config", str(write_config(tmp_path, doc)),
+         "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not out.exists()
+    return proc.stderr
 
 
 class TestRunCommand:
@@ -203,6 +219,13 @@ class TestRunCommand:
                                        "matrix": [[[0, 0], ["1", 0]], [[1, 0], [0, 0]]]})}),
         ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
                                        "matrix": [[[0, 0], [1, 0]], [[True, 0], [0, 0]]]})}),
+        # integers past the float range made float() raise OverflowError, which exited 3
+        ([], {"eta": 10 ** 400}),
+        ([], {"max_steps": 10 ** 400}),
+        ([], {"theta0": [-0.2, 10 ** 400, 0.0, 0.0]}),
+        ([], {"hamiltonian": [[10 ** 400, "ZI"], [0.4, "IZ"], [0.2, "XX"]]}),
+        ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
+                                       "matrix": [[[0, 0], [10 ** 400, 0]], [[1, 0], [0, 0]]]})}),
     ], ids=["steps-0", "eta-0", "eta-inf", "eta-nan", "inverse-eta-negative", "epsilon-0",
             "pinv-cut-inf", "theta0-length", "config-max-steps-0", "config-eta-text",
             "config-eta-null", "config-max-steps-fraction", "config-max-steps-bool",
@@ -210,7 +233,9 @@ class TestRunCommand:
             "grad-tol-nan", "grad-tol-negative", "grad-tol-inf", "config-n-qubits-fraction",
             "config-target-fraction", "config-target-text", "config-target-bool",
             "config-param-index-fraction", "config-param-index-bool", "config-coefficient-text",
-            "config-coefficient-bool", "config-matrix-entry-text", "config-matrix-entry-bool"])
+            "config-coefficient-bool", "config-matrix-entry-text", "config-matrix-entry-bool",
+            "config-eta-huge", "config-max-steps-huge", "config-theta0-huge",
+            "config-coefficient-huge", "config-matrix-entry-huge"])
     def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
         config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
         out = tmp_path / "out"
@@ -222,15 +247,49 @@ class TestRunCommand:
     def test_qubit_count_beyond_the_bound_exits_at_once(self, tmp_path):
         # compiling 10**30 qubits used to hang; the bound is checked before anything is built
         doc = dict(CUSTOM_CONFIG, circuit=dict(CUSTOM_CONFIG["circuit"], n_qubits=10 ** 30))
+        err = run_in_subprocess(tmp_path, doc)
+        assert f"n_qubits must be between 1 and {MAX_QUBITS}" in err
+
+    def test_huge_param_index_exits_at_once(self, tmp_path):
+        # the unused-slot check used to build set(range(10**30)) and list every slot
+        gate = {"kind": "ry", "targets": [1], "param_index": 10 ** 30}
+        err = run_in_subprocess(tmp_path, dict(CUSTOM_CONFIG, circuit=with_gate(3, gate)))
+        assert "never used by any gate: [2, 4, 5, 6, 7, 8, 9, 10, 11, 12] and " in err
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"eta": 10 ** 400}, "eta"),
+        ({"max_steps": 10 ** 400}, "max_steps"),
+        ({"theta0": [-0.2, 10 ** 400, 0.0, 0.0]}, "theta0 entry"),
+        ({"hamiltonian": [[10 ** 400, "ZI"], [0.4, "IZ"], [0.2, "XX"]]}, "hamiltonian coefficient"),
+    ], ids=["eta", "max-steps", "theta0-entry", "coefficient"])
+    def test_integer_past_the_float_range_is_named_not_echoed(self, tmp_path, capsys, fields, name):
+        config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
+        start = time.perf_counter()
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"{name} is too large for a float" in err
+        assert len(err) < 1024
+
+    @pytest.mark.parametrize("data", [
+        json.dumps(CUSTOM_CONFIG).replace('"eta": 0.05', '"eta": 1' + "0" * 4999).encode(),
+        b'{"eta": "\xff"}',
+    ], ids=["5000-digit-literal", "not-utf-8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, data):
+        # json.load raises a plain ValueError for an integer literal past Python's
+        # 4300-digit limit, and reading raises UnicodeDecodeError for bytes that
+        # are not UTF-8; neither is a JSONDecodeError, and both used to exit 3
+        config = tmp_path / "problem.json"
+        config.write_bytes(data)
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "natvqe.cli", "run", "--config", str(write_config(tmp_path, doc)),
-             "--out-dir", str(out)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert f"n_qubits must be between 1 and {MAX_QUBITS}" in proc.stderr
-        assert proc.stdout == ""
+        start = time.perf_counter()
+        code = main(["run", "--config", str(config), "--out-dir", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: ")
+        assert len(err) < 1024
         assert not out.exists()
 
     def test_json_config_echo_rebuilds_the_circuit(self, tmp_path):

@@ -1,4 +1,5 @@
 """Preset constants, the problem JSON schema and optimizer comparisons."""
+import dataclasses
 import importlib.util
 import json
 import math
@@ -30,9 +31,23 @@ class TestPresets:
     def test_known_names(self):
         assert set(PRESET_NAMES) == {"qubit-a", "qubit-b", "h2-a", "h2-plateau", "toy"}
 
+    def test_names_in_listing_order(self):
+        # perfbench permutes this order with its seed, so it is part of the contract
+        assert PRESET_NAMES == ("qubit-a", "qubit-b", "h2-a", "h2-plateau", "toy")
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown preset"):
             load_preset("qubit-c")
+
+    def test_unknown_name_lists_the_presets(self):
+        with pytest.raises(ValueError) as err:
+            load_preset("qubit-c")
+        assert str(err.value) == ("unknown preset 'qubit-c'; "
+                                  "available: qubit-a, qubit-b, h2-a, h2-plateau, toy")
+
+    def test_each_load_builds_a_fresh_circuit(self):
+        # a circuit remembers its last sweep, so two problems must not share one
+        assert load_preset("h2-a").circuit is not load_preset("h2-a").circuit
 
     def test_qubit_a_constants(self):
         p = load_preset("qubit-a")
@@ -177,6 +192,7 @@ class TestCompare:
     def test_results_keep_input_order(self):
         report = compare(load_preset("qubit-a"), [I, V], threshold=0.01, max_steps=30)
         assert list(report.results) == [I, V]
+        assert [f.name for f in dataclasses.fields(report)] == ["results"]
 
     def test_threshold_indexing(self):
         p = load_preset("qubit-a")

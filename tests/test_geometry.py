@@ -16,17 +16,22 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from natvqe import (
+    ConstantRate,
     MetricUndefinedError,
+    OptimizerKind,
     build_state,
     circuit,
     classical_fisher_metric,
     cnot,
+    energy,
+    energy_and_gradient,
     entanglement_entropy,
     fixed_unitary,
     fubini_study_metric,
     ite_matrix,
     pauli_sum,
     phase,
+    run,
     ry,
     singularity_report,
     spectral_decompose,
@@ -64,11 +69,16 @@ def separability_indicator(values):
     return float((1.0 - values[0, 2] ** 2) * (1.0 - values[1, 3] ** 2))
 
 
-def overlap_metric_oracle(circ, theta, delta=1e-4):
+def overlap_metric_oracle(circ, theta, delta=1e-4, directions=None):
     """Quadratic-form fit of 1 - |<phi(theta)|phi(theta + x)>|^2, the defining
-    infinitesimal distance of the metric.  Independent of derivative states."""
+    infinitesimal distance of the metric.  Independent of derivative states.
+
+    The displacements x run along the columns of ``directions`` (default: the
+    slots), so for theta = J phi and ``directions`` J the fit is the metric in phi.
+    """
     theta = np.asarray(theta, float)
-    m = circ.n_params
+    directions = np.eye(circ.n_params) if directions is None else directions
+    m = directions.shape[1]
     base = build_state(circ, theta)
 
     def loss(x):
@@ -76,12 +86,10 @@ def overlap_metric_oracle(circ, theta, delta=1e-4):
 
     fit = np.zeros((m, m))
     for i in range(m):
-        ei = np.zeros(m)
-        ei[i] = delta
+        ei = directions[:, i] * delta
         fit[i, i] = (loss(ei) + loss(-ei)) / (2 * delta ** 2)
         for j in range(i + 1, m):
-            ej = np.zeros(m)
-            ej[j] = delta
+            ej = directions[:, j] * delta
             fit[i, j] = fit[j, i] = (
                 loss(ei + ej) - loss(ei - ej) + loss(-ei - ej) - loss(-ei + ej)
             ) / (8 * delta ** 2)
@@ -177,7 +185,7 @@ class TestClassicalFisherMetric:
         done = 0
         while done < 30:
             theta = rng.uniform(-np.pi, np.pi, 2)
-            probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
+            probs = outcome_distribution(decomp, build_state(circ, theta))
             if probs.min() < 1e-3:
                 continue
             done += 1
@@ -188,8 +196,8 @@ class TestClassicalFisherMetric:
                 up, down = np.array(theta), np.array(theta)
                 up[i] += delta
                 down[i] -= delta
-                p_up = outcome_distribution(decomp, build_state(circ, up)).probabilities
-                p_dn = outcome_distribution(decomp, build_state(circ, down)).probabilities
+                p_up = outcome_distribution(decomp, build_state(circ, up))
+                p_dn = outcome_distribution(decomp, build_state(circ, down))
                 dlogp[:, i] = (np.log(p_up) - np.log(p_dn)) / (2 * delta)
             oracle = (dlogp.T * probs) @ dlogp
             assert np.max(np.abs(values - oracle)) < 1e-5 * max(1.0, np.max(np.abs(values)))
@@ -201,7 +209,7 @@ class TestClassicalFisherMetric:
         done = 0
         while done < 50:
             theta = rng.uniform(-np.pi, np.pi, 2)
-            probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
+            probs = outcome_distribution(decomp, build_state(circ, theta))
             if probs.min() < 1e-6:
                 continue
             done += 1
@@ -339,7 +347,7 @@ class TestPsdOrder:
         done = 0
         while done < 50:
             theta = rng.uniform(-np.pi, np.pi, 2)
-            probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
+            probs = outcome_distribution(decomp, build_state(circ, theta))
             if probs.min() < 1e-3:
                 continue
             done += 1
@@ -546,7 +554,7 @@ class TestClassicalFisherEigenbasis:
     def test_outcome_distribution_matches_projectors(self, problem):
         circ, h, theta = problem
         decomp = spectral_decompose(h)
-        probs = outcome_distribution(decomp, build_state(circ, theta)).probabilities
+        probs = outcome_distribution(decomp, build_state(circ, theta))
         assert np.max(np.abs(probs - projector_probabilities(circ, theta, decomp))) < 1e-12
 
 
@@ -685,6 +693,64 @@ class TestRandomCircuitInvariants:
             shared += jacobian.shape[0] > jacobian.shape[1]
         assert shared > 100
 
+
+# ---------------------------------------------------------------------------
+# Covariance under a general linear reparametrization theta = J phi, which a
+# circuit cannot express: F pulls back to J^T F J, and the natural-gradient
+# step maps as J dphi = dtheta where F has full rank; the vanilla step does not
+
+
+def well_conditioned(rng, m):
+    """A random m x m matrix with singular values in [0.2, 0.6], so I - J J^T >= 0.64 I.
+
+    Small singular values keep the oracle's O(|J delta|^2) truncation error small.
+    """
+    return random_orthogonal(rng, m) @ np.diag(rng.uniform(0.2, 0.6, m)) @ random_orthogonal(rng, m)
+
+
+def random_hamiltonian(rng, n):
+    return pauli_sum(n, [(float(rng.uniform(-1, 1)), "".join(rng.choice(list("IXYZ"), n)))
+                         for _ in range(3)])
+
+
+class TestLinearReparametrization:
+    def test_metric_and_gradient_along_the_columns_pull_back(self):
+        for circ, theta, rng in seeded_circuits(54, 60):
+            jac = well_conditioned(rng, circ.n_params)
+            f = fubini_study_metric(circ, theta).values
+            oracle = overlap_metric_oracle(circ, theta, directions=jac)
+            assert np.max(np.abs(oracle - jac.T @ f @ jac)) < 1e-6
+            h = random_hamiltonian(rng, circ.n_qubits)
+            _, grad = energy_and_gradient(h, circ, theta)
+            step = 1e-5
+            central = [(energy(h, build_state(circ, theta + step * col))
+                        - energy(h, build_state(circ, theta - step * col))) / (2 * step)
+                       for col in jac.T]
+            assert np.max(np.abs(central - jac.T @ grad)) < 1e-8
+
+    def test_natural_step_is_covariant_and_vanilla_is_not(self):
+        eta, full_rank = 0.05, 0
+        for circ, theta, rng in seeded_circuits(55, 200):
+            if fubini_study_metric(circ, theta).eigenvalues[0] < 1e-3:
+                continue
+            full_rank += 1
+            jac = well_conditioned(rng, circ.n_params)
+            h = random_hamiltonian(rng, circ.n_qubits)
+            f = fubini_study_metric(circ, theta).values
+            _, grad = energy_and_gradient(h, circ, theta)
+            # the steps in phi = J^-1 theta, with F_phi = J^T F J and grad_phi = J^T grad
+            natural_phi = -eta * np.linalg.solve(jac.T @ f @ jac, jac.T @ grad)
+            vanilla_phi = -eta * (jac.T @ grad)
+            steps = {}
+            for kind in (OptimizerKind.NATURAL_FS, OptimizerKind.VANILLA):
+                trajectory = run(kind, h, circ, theta, ConstantRate(eta), max_steps=1)
+                steps[kind] = np.array(trajectory.steps[1].theta) - theta
+            natural, vanilla = steps[OptimizerKind.NATURAL_FS], steps[OptimizerKind.VANILLA]
+            scale = max(1.0, np.max(np.abs(natural)))
+            assert np.max(np.abs(jac @ natural_phi - natural)) <= 1e-9 * scale
+            if np.linalg.norm(vanilla) > 1e-6:
+                assert np.linalg.norm(jac @ vanilla_phi - vanilla) > 0.5 * np.linalg.norm(vanilla)
+        assert full_rank > 100
 
 # ---------------------------------------------------------------------------
 # The per-iterate expressions against the numpy helpers they replaced

@@ -200,7 +200,7 @@ class TestOutcomeDistribution:
     def test_bernoulli_formula(self, t1, t2):
         circ, h = single_qubit_ansatz(), sigma_x_hamiltonian()
         decomp = spectral_decompose(h)
-        probs = outcome_distribution(decomp, build_state(circ, [t1, t2])).probabilities
+        probs = outcome_distribution(decomp, build_state(circ, [t1, t2]))
         p_plus = (1 + math.sin(2 * t1) * math.cos(2 * t2)) / 2
         assert abs(probs[1] - p_plus) < 1e-12
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -208,12 +208,23 @@ class TestOutcomeDistribution:
     def test_eigenstate(self, single_qubit):
         circ, h = single_qubit
         probs = outcome_distribution(spectral_decompose(h), build_state(circ, [np.pi / 4, 0.0]))
-        np.testing.assert_allclose(probs.probabilities, [0.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-14)
 
     def test_h2_ground_concentrated(self, h2_problem):
         _, h = h2_problem
         probs = outcome_distribution(spectral_decompose(h), h2_ground_state())
-        np.testing.assert_allclose(probs.probabilities, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+    def test_read_only_array(self, single_qubit):
+        circ, h = single_qubit
+        probs = outcome_distribution(spectral_decompose(h), build_state(circ, [0.3, 0.2]))
+        assert type(probs) is np.ndarray and probs.dtype == float
+        assert not probs.flags.writeable
+
+    def test_unnormalized_state_rejected(self, single_qubit):
+        _, h = single_qubit
+        with pytest.raises(ValueError, match="sum to 1"):
+            outcome_distribution(spectral_decompose(h), np.array([0.5, 0.0]))
 
     @pytest.mark.parametrize("state", [np.array([1.0, 0.0]), np.eye(2), np.ones((4, 1)), np.ones(8)],
                              ids=["1-qubit", "matrix", "column", "3-qubit"])
@@ -227,7 +238,7 @@ class TestOutcomeDistribution:
         circ, h = hardware_efficient_ansatz(), h2_hamiltonian()
         state = build_state(circ, theta)
         decomp = spectral_decompose(h)
-        probs = outcome_distribution(decomp, state).probabilities
+        probs = outcome_distribution(decomp, state)
         assert abs(energy(h, state) - float(decomp.eigenvalues @ probs)) < 1e-10
 
 

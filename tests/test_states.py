@@ -1,4 +1,5 @@
 """Statevector construction and exact parameter derivatives."""
+import time
 import weakref
 
 import numpy as np
@@ -134,7 +135,33 @@ class TestCircuitValidation:
 
     def test_unused_parameter_slot_rejected(self):
         with pytest.raises(ValueError, match="never used"):
-            AnsatzCircuit(1, (ry(0, 0),), n_params=2)
+            AnsatzCircuit(1, (ry(0, 1),))
+
+    def test_parameter_count_is_derived_from_the_gates(self):
+        assert AnsatzCircuit(1, (ry(0, 0), phase(0, 2), ry(0, 1))).n_params == 3
+        assert AnsatzCircuit(2, (cnot(0, 1),)).n_params == 0
+        with pytest.raises(TypeError):
+            AnsatzCircuit(1, (ry(0, 0),), 1)
+
+    @pytest.mark.parametrize("gates, message", [
+        ([ry(0, 3)], "[0, 1, 2]"),
+        ([ry(0, 10)], "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"),
+        ([ry(0, 11)], "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 1 more"),
+        ([ry(0, 0), ry(0, 2), phase(0, 15)], "[1, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 3 more"),
+    ], ids=["three-missing", "ten-missing", "eleven-missing", "gaps"])
+    def test_unused_slots_listed_up_to_ten(self, gates, message):
+        with pytest.raises(ValueError) as err:
+            circuit(1, gates)
+        assert str(err.value) == f"parameter slots never used by any gate: {message}"
+
+    @pytest.mark.parametrize("slot", [10 ** 6, 10 ** 30])
+    def test_huge_slot_rejected_at_once(self, slot):
+        # the check used to build set(range(slot)) and list every missing slot
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="never used") as err:
+            circuit(1, [ry(0, slot)])
+        assert time.perf_counter() - start < 0.1
+        assert len(str(err.value)) < 300
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
@@ -148,7 +175,7 @@ class TestCircuitValidation:
     def test_qubit_count_out_of_bounds_rejected(self, n_qubits):
         # checked before the sweep is compiled: 2**n amplitudes are never allocated
         with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}"):
-            AnsatzCircuit(n_qubits, (), 0)
+            AnsatzCircuit(n_qubits, ())
 
     def test_hamiltonian_qubit_count_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}"):
