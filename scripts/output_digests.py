@@ -11,6 +11,8 @@ It imports natvqe from the ``src/`` beside this script, so copy the script
 into an older checkout to digest that tree. It digests
 
 * every file ``scripts/reproduce_figures.py`` writes, and its standard output;
+* the SVGs of ``natvqe plot`` over the qubit-a CSVs that script writes, the
+  energy plot and the ``--path`` plot, which read the CSVs back;
 * every JSON trajectory of the benchmark's ``wide`` workload (one pass,
   ``natvqe run --config ... --format json``) at each seed;
 * F, A, FC, the outcome probabilities p and the singularity report of F at
@@ -72,6 +74,18 @@ def figures_digests(tmp: Path) -> list[str]:
     stdout = proc.stdout.replace(str(out).encode(), b"<out>")
     lines = [f"figures stdout {sha(stdout)}"]
     lines += [f"figures {path.name} {sha(path.read_bytes())}" for path in sorted(out.iterdir())]
+    return lines
+
+
+def plot_digests(tmp: Path) -> list[str]:
+    """``natvqe plot`` over the qubit-a CSVs that ``figures_digests`` wrote."""
+    csvs = [str(path) for path in sorted((tmp / "figures").glob("qubit-a_*.csv"))]
+    lines = []
+    for label, flags in (("energy", []), ("path", ["--path"])):
+        svg = tmp / f"plot-{label}.svg"
+        code, _, err = _cli(["plot", *csvs, *flags, "--out", str(svg)])
+        lines.append(f"plot qubit-a {label} exit={code} svg {sha(svg.read_bytes())} "
+                     f"stderr {sha(err.encode())}")
     return lines
 
 
@@ -237,7 +251,7 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        lines = (figures_digests(tmp) + metric_digests() + echo_digests(tmp)
+        lines = (figures_digests(tmp) + plot_digests(tmp) + metric_digests() + echo_digests(tmp)
                  + listing_digests() + config_error_digests(tmp))
         for seed in args.seeds:
             lines += wide_digests(seed, tmp)

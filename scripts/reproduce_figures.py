@@ -51,7 +51,7 @@ def main() -> None:
                                     [s.theta[1] for s in traj.steps]))
             hit = result.steps_to_threshold
             print(f"  {kind.value:10s} steps_to_threshold={hit if hit is not None else '>max':>6} "
-                  f"final_energy={result.final_energy:+.6f}")
+                  f"final_energy={traj.final.energy:+.6f}")
         svg = line_plot(energy_series, title=f"{name}: energy per iteration",
                         xlabel="iteration", ylabel="energy")
         (out / f"{name}_energy.svg").write_text(svg, encoding="utf-8", newline="")

@@ -13,10 +13,12 @@ Exit codes: 0 success, 2 configuration error, 3 runtime/output error.
 
 A config file holds one JSON problem document, in the schema that
 ``natvqe.experiments.Problem`` documents; a ``--format json`` file echoes the
-problem in that schema.  The trajectory CSV header is
-``step,theta_1,...,theta_m,energy,grad_norm,det_metric,min_eig_metric`` and
-numbers are written in shortest round-trip form, so files are byte-stable and
-parse back to the exact in-memory values.
+problem in that schema.  The fields of ``optimizers.TrajectoryStep`` are the
+one schema of a trajectory record: the CSV columns are ``step``, then
+``theta_1..theta_m``, then the remaining fields in order, and a JSON step
+object has the same fields as keys.  Numbers are written in shortest
+round-trip form, so files are byte-stable and parse back to the exact
+in-memory values.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,7 @@ from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_
 from .geometry import DEFAULT_RANK_TOL, MetricKind, MetricMatrix, metric_for, singularity_report
 from .optimizers import (
     DEFAULT_POLICY,
+    MAX_STEPS,
     ConstantRate,
     EigenFloor,
     InverseStepRate,
@@ -131,20 +136,20 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 # trajectory serialization
 
+# the record's fields after k and theta, in order: the CSV's last columns
+_SCALAR_FIELDS = tuple(f.name for f in fields(TrajectoryStep))[2:]
+_scalars = attrgetter(*_SCALAR_FIELDS)
+
+
 def csv_header(n_params: int) -> str:
-    thetas = ",".join(f"theta_{i + 1}" for i in range(n_params))
-    return f"step,{thetas},energy,grad_norm,det_metric,min_eig_metric"
+    return ",".join(["step", *(f"theta_{i + 1}" for i in range(n_params)), *_SCALAR_FIELDS])
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:
-    n_params = len(trajectory.steps[0].theta)
-    lines = [csv_header(n_params)]
+    lines = [csv_header(len(trajectory.steps[0].theta))]
     for s in trajectory.steps:
-        fields = [str(s.k)]
-        fields += [repr(float(v)) for v in s.theta]
-        fields += [repr(float(s.energy)), repr(float(s.grad_norm)),
-                   repr(float(s.det_metric)), repr(float(s.min_eig_metric))]
-        lines.append(",".join(fields))
+        values = (*s.theta, *_scalars(s))
+        lines.append(",".join([str(s.k), *[repr(float(v)) for v in values]]))
     return "\n".join(lines) + "\n"
 
 
@@ -153,15 +158,14 @@ def parse_trajectory_csv(text: str) -> tuple[list[TrajectoryStep], int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("empty trajectory file")
-    header = lines[0].split(",")
-    tail = ["energy", "grad_norm", "det_metric", "min_eig_metric"]
-    if header[:1] != ["step"] or header[-4:] != tail or len(header) < 6:
+    width = lines[0].count(",") + 1
+    n_params = width - 1 - len(_SCALAR_FIELDS)
+    if n_params < 1 or lines[0] != csv_header(n_params):
         raise ConfigError(f"unrecognized trajectory header: {lines[0]!r}")
-    n_params = len(header) - 5
     steps = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != len(header):
+        if len(parts) != width:
             raise ConfigError(f"malformed trajectory row: {ln!r}")
         try:
             k = int(parts[0])
@@ -174,38 +178,10 @@ def parse_trajectory_csv(text: str) -> tuple[list[TrajectoryStep], int]:
     return steps, n_params
 
 
-def _json_float(value: float) -> str:
-    """A float as ``json.dumps`` writes it: shortest round-trip, or NaN/Infinity/-Infinity."""
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
 def trajectory_to_json(trajectory: Trajectory, config_echo: dict) -> str:
-    """The bytes of ``json.dumps({"config": ..., "steps": [...], "terminal_reason": ...},
-    indent=2, sort_keys=True) + "\\n"``.
-
-    The step records are formatted directly: the encoder's pure-Python indenting
-    path costs more per number than ``float.__repr__``.  The config echo goes
-    through ``json.dumps`` and is indented one level deeper.
-    """
-    config = json.dumps(config_echo, indent=2, sort_keys=True).replace("\n", "\n  ")
-    records = []
-    for s in trajectory.steps:
-        theta = ",\n        ".join(map(_json_float, s.theta))
-        records.append(
-            "    {\n"
-            f'      "det_metric": {_json_float(s.det_metric)},\n'
-            f'      "energy": {_json_float(s.energy)},\n'
-            f'      "grad_norm": {_json_float(s.grad_norm)},\n'
-            f'      "k": {s.k:d},\n'
-            f'      "min_eig_metric": {_json_float(s.min_eig_metric)},\n'
-            '      "theta": [\n'
-            f"        {theta}\n"
-            "      ]\n"
-            "    }"
-        )
-    reason = json.dumps(trajectory.terminal_reason.value)
-    return (f'{{\n  "config": {config},\n  "steps": [\n' + ",\n".join(records)
-            + f'\n  ],\n  "terminal_reason": {reason}\n}}\n')
+    doc = {"config": config_echo, "steps": [vars(s) for s in trajectory.steps],
+           "terminal_reason": trajectory.terminal_reason.value}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +194,8 @@ def cmd_run(args) -> int:
     max_steps = args.steps if args.steps is not None else problem.max_steps
     if max_steps < 1:
         raise ConfigError("max_steps must be at least 1")
+    if max_steps > MAX_STEPS:
+        raise ConfigError(f"max_steps must be at most {MAX_STEPS}, got {max_steps}")
     if not (0.0 <= args.grad_tol < math.inf):
         raise ConfigError(f"grad_tol must be finite and non-negative, got {args.grad_tol}")
     try:
@@ -247,8 +225,7 @@ def cmd_run(args) -> int:
         trajectory = run(kind, problem.hamiltonian, problem.circuit, problem.theta0, schedule,
                          policy, max_steps=max_steps, grad_tol=args.grad_tol)
         config_echo["optimizer"] = kind.value
-        ext = "json" if args.format == "json" else "csv"
-        path = out_dir / f"{problem.name}_{kind.value}.{ext}"
+        path = out_dir / f"{problem.name}_{kind.value}.{args.format}"
         text = (
             trajectory_to_json(trajectory, config_echo)
             if args.format == "json"

@@ -26,6 +26,7 @@ import numpy as np
 from .observables import PauliHamiltonian, dense_matrix, pauli_sum
 from .optimizers import (
     DEFAULT_POLICY,
+    MAX_STEPS,
     ConstantRate,
     LearningRateSchedule,
     OptimizerKind,
@@ -95,8 +96,8 @@ class Problem:
     (explicit matrix; entries are [re, im] pairs).  ``n_qubits`` (1 to
     ``states.MAX_QUBITS``), targets and ``param_index`` must be JSON integers,
     and coefficients, matrix entries, ``theta0``, ``eta`` (default 0.05) and
-    ``max_steps`` (a whole number, default 100) JSON numbers that fit a float,
-    not strings or booleans.
+    ``max_steps`` (a whole number up to ``optimizers.MAX_STEPS``, default 100)
+    JSON numbers that fit a float, not strings or booleans.
     """
 
     name: str
@@ -126,6 +127,8 @@ class Problem:
             max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
             if not max_steps.is_integer():
                 raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
+            if max_steps > MAX_STEPS:
+                raise ValueError(f"max_steps must be at most {MAX_STEPS}, got {max_steps!r}")
             eta = _json_number(doc.get("eta", 0.05), "eta")
         except KeyError as exc:
             raise ValueError(f"config file missing field {exc}") from exc
@@ -162,7 +165,7 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _gate_from_json(entry) -> Gate:
+def _gate_from_json(entry, index: int) -> Gate:
     try:
         kind = GateKind(entry["kind"])
         targets = tuple(_json_int(t, "gate target") for t in entry["targets"])
@@ -177,7 +180,7 @@ def _gate_from_json(entry) -> Gate:
                                         _json_number(imag, "matrix entry"))
                                 for real, imag in row] for row in entry["matrix"]])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad unitary matrix in gate {entry!r}") from exc
+            raise ValueError(f"bad unitary matrix in gate {index}: {exc}") from exc
     return Gate(kind, targets, param, matrix)
 
 
@@ -193,7 +196,7 @@ def _gate_to_json(gate: Gate) -> dict:
 def _circuit_from_json(entry) -> AnsatzCircuit:
     try:
         n_qubits = _json_int(entry["n_qubits"], "n_qubits")
-        gates = [_gate_from_json(g) for g in entry["gates"]]
+        gates = [_gate_from_json(g, i) for i, g in enumerate(entry["gates"])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"circuit entry needs n_qubits and gates: {exc}") from exc
     circ = circuit(n_qubits, gates)
@@ -240,8 +243,6 @@ class OptimizerResult:
     """Outcome of one optimizer on one problem."""
 
     steps_to_threshold: int | None
-    final_energy: float
-    final_theta: tuple[float, ...]
     trajectory: Trajectory
 
 
@@ -279,11 +280,6 @@ def compare(
     for kind in kinds:
         trajectory = run(kind, problem.hamiltonian, problem.circuit, problem.theta0,
                          schedule, policy, max_steps=limit)
-        final = trajectory.final
         results[kind] = OptimizerResult(
-            steps_to_threshold(trajectory, problem.reference_energy, threshold),
-            final.energy,
-            final.theta,
-            trajectory,
-        )
+            steps_to_threshold(trajectory, problem.reference_energy, threshold), trajectory)
     return ComparisonReport(results)

@@ -36,6 +36,7 @@ __all__ = [
     "TrajectoryStep",
     "Trajectory",
     "DEFAULT_POLICY",
+    "MAX_STEPS",
     "solve_regularized",
     "run",
 ]
@@ -124,6 +125,9 @@ RegularizationPolicy = Tikhonov | EigenFloor | PseudoInverse
 
 DEFAULT_POLICY = EigenFloor(1e-10)
 
+# the most updates one run may make: it keeps every record in memory
+MAX_STEPS = 100_000
+
 
 class TerminalReason(str, Enum):
     MAX_STEPS = "max_steps"
@@ -198,12 +202,16 @@ def run(
     inputs give bit-identical trajectories.  It stops after ``max_steps``
     updates, when the gradient norm falls below ``grad_tol`` (if positive), or
     as soon as a non-finite parameter, energy, or gradient appears.
-    ``max_steps`` must be a whole number and ``grad_tol`` finite and >= 0.
+    ``max_steps`` must be a whole number from 1 to ``MAX_STEPS`` and
+    ``grad_tol`` finite and >= 0.
     """
-    if not (math.isfinite(max_steps) and max_steps == int(max_steps)):
+    # compared, not math.isfinite: that overflows on an int past the float range
+    if not (-math.inf < max_steps < math.inf and max_steps == int(max_steps)):
         raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"max_steps must be at most {MAX_STEPS}")
     if not (0.0 <= grad_tol < math.inf):
         raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
     if circ.n_params == 0:

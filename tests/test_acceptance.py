@@ -215,13 +215,13 @@ def test_criterion_07_classical_fisher_rank_one(nondegenerate_qubit_points):
 def test_criterion_08_basin_selection_qubit_a():
     preset = load_preset("qubit-a")
     report = compare(preset, [V, N, I], threshold=1e-3, policy=POLICY)
-    finals = {k: np.array(r.final_theta) for k, r in report.results.items()}
+    finals = {k: np.array(r.trajectory.final.theta) for k, r in report.results.items()}
     assert np.linalg.norm(finals[V] - [-np.pi / 4, 0.0]) < 0.02
     assert np.linalg.norm(finals[N] - [np.pi / 4, np.pi / 2]) < 0.02
     assert np.linalg.norm(finals[I] - [np.pi / 4, np.pi / 2]) < 0.02
     for r in report.results.values():
         assert r.steps_to_threshold is not None  # energy within 1e-3 of -1 inside 300 steps
-        assert abs(r.final_energy + 1.0) < 1e-3
+        assert abs(r.trajectory.final.energy + 1.0) < 1e-3
     hits = {k: first_step_reaching(r.trajectory, -0.99) for k, r in report.results.items()}
     assert hits[N] < hits[V]
     assert hits[I] < hits[V]
@@ -230,7 +230,7 @@ def test_criterion_08_basin_selection_qubit_a():
 def test_criterion_09_basin_selection_qubit_b():
     preset = load_preset("qubit-b")
     report = compare(preset, [V, N, I], threshold=1e-3, policy=POLICY)
-    finals = {k: np.array(r.final_theta) for k, r in report.results.items()}
+    finals = {k: np.array(r.trajectory.final.theta) for k, r in report.results.items()}
     assert np.linalg.norm(finals[V] - [3 * np.pi / 4, 0.0]) < 0.02
     assert np.linalg.norm(finals[I] - [3 * np.pi / 4, 0.0]) < 0.02
     assert np.linalg.norm(finals[N] - [np.pi / 4, np.pi / 2]) < 0.02

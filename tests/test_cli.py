@@ -29,7 +29,7 @@ from natvqe.cli import (
     trajectory_to_json,
 )
 from natvqe.experiments import Problem
-from natvqe.optimizers import Trajectory, TrajectoryStep
+from natvqe.optimizers import MAX_STEPS, Trajectory, TrajectoryStep
 from natvqe.states import MAX_QUBITS
 
 CUSTOM_CONFIG = {
@@ -63,13 +63,13 @@ def with_gate(index, gate):
     return dict(CUSTOM_CONFIG["circuit"], gates=gates)
 
 
-def run_in_subprocess(tmp_path, doc):
+def run_in_subprocess(tmp_path, doc, flags=()):
     """``natvqe run --config`` on ``doc`` in a fresh process that must exit 2 and write nothing;
     returns its standard error."""
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "natvqe.cli", "run", "--config", str(write_config(tmp_path, doc)),
-         "--out-dir", str(out)],
+         *flags, "--out-dir", str(out)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
@@ -256,6 +256,15 @@ class TestRunCommand:
         err = run_in_subprocess(tmp_path, dict(CUSTOM_CONFIG, circuit=with_gate(3, gate)))
         assert "never used by any gate: [2, 4, 5, 6, 7, 8, 9, 10, 11, 12] and " in err
         assert len(err) < 300
+
+    @pytest.mark.parametrize("doc, flags", [
+        (CUSTOM_CONFIG, ["--steps", "1000000000000"]),
+        (dict(CUSTOM_CONFIG, max_steps=1e30), []),
+    ], ids=["steps-flag", "config"])
+    def test_max_steps_beyond_the_bound_exits_at_once(self, tmp_path, doc, flags):
+        # such a run kept every record in memory and ran until it was killed
+        err = run_in_subprocess(tmp_path, doc, flags)
+        assert f"max_steps must be at most {MAX_STEPS}" in err
 
     @pytest.mark.parametrize("fields, name", [
         ({"eta": 10 ** 400}, "eta"),
@@ -538,8 +547,16 @@ class TestPlotCommand:
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("step,theta_1\n0,nope\n")
-        assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+        for text in [
+            "step,theta_1\n0,nope\n",
+            # a misnamed column used to parse as theta_1 when the last four names matched
+            "step,grad_norm,energy,grad_norm,det_metric,min_eig_metric\n0,0.1,0.2,0.3,1.0,1.0\n",
+            "step,theta_2,energy,grad_norm,det_metric,min_eig_metric\n0,0.1,0.2,0.3,1.0,1.0\n",
+            "step,energy,grad_norm,det_metric,min_eig_metric\n0,0.2,0.3,1.0,1.0\n",
+        ]:
+            bad.write_text(text)
+            assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2, text
+            assert not (tmp_path / "x.svg").exists()
 
 
 class TestPresetsCommand:

@@ -22,6 +22,7 @@ from natvqe import (
     steps_to_threshold,
 )
 from natvqe.observables import dense_matrix
+from natvqe.optimizers import MAX_STEPS
 from test_states import random_circuit
 
 V, N, I = OptimizerKind.VANILLA, OptimizerKind.NATURAL_FS, OptimizerKind.ITE
@@ -164,6 +165,25 @@ class TestProblemJson:
         with pytest.raises(ValueError, match="bad config file: max_steps must be a whole number"):
             Problem.from_json(dict(load_preset("qubit-a").to_json(), max_steps=2.5), "qubit")
 
+    def test_max_steps_bounded(self):
+        doc = dict(load_preset("qubit-a").to_json(), max_steps=MAX_STEPS + 1)
+        with pytest.raises(ValueError, match=f"max_steps must be at most {MAX_STEPS}"):
+            Problem.from_json(doc, "qubit")
+        doc["max_steps"] = MAX_STEPS
+        assert Problem.from_json(doc, "qubit").max_steps == MAX_STEPS
+
+    def test_bad_unitary_names_the_gate_and_the_cause(self):
+        doc = load_preset("qubit-a").to_json()
+        unitary = {"kind": "unitary", "targets": [0],
+                   "matrix": [[[0, 0], [1, 0]], [[10 ** 400, 0], [0, 0]]]}
+        doc["circuit"]["gates"].append(unitary)
+        with pytest.raises(ValueError) as info:
+            Problem.from_json(doc, "qubit")
+        message = str(info.value)
+        assert message == ("bad config file: bad unitary matrix in gate 2: "
+                           "matrix entry is too large for a float")
+        assert len(message) < 200
+
 
 class TestCompare:
     def test_needs_a_reference_energy(self):
@@ -193,6 +213,12 @@ class TestCompare:
         report = compare(load_preset("qubit-a"), [I, V], threshold=0.01, max_steps=30)
         assert list(report.results) == [I, V]
         assert [f.name for f in dataclasses.fields(report)] == ["results"]
+
+    def test_result_reads_the_final_record_from_its_trajectory(self):
+        result = compare(load_preset("qubit-a"), [V], max_steps=5).results[V]
+        assert [f.name for f in dataclasses.fields(result)] == ["steps_to_threshold",
+                                                                 "trajectory"]
+        assert result.trajectory.final.k == 5
 
     def test_threshold_indexing(self):
         p = load_preset("qubit-a")

@@ -271,6 +271,24 @@ class TestRun:
         with pytest.raises(ValueError, match="whole number"):
             run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=max_steps)
 
+    @pytest.mark.parametrize("max_steps", [optimizers.MAX_STEPS + 1, 10 ** 30, 10 ** 400])
+    def test_max_steps_bounded_before_any_sweep(self, single_qubit, monkeypatch, max_steps):
+        # a run keeps every record, so an unbounded count grows memory until killed
+        def no_sweep(*args):
+            raise RuntimeError("run swept before checking max_steps")
+
+        monkeypatch.setattr(optimizers, "energy_and_gradient", no_sweep)
+        circ, h = single_qubit
+        with pytest.raises(ValueError, match=f"max_steps must be at most {optimizers.MAX_STEPS}"):
+            run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=max_steps)
+
+    def test_largest_max_steps_accepted(self, single_qubit):
+        circ, h = single_qubit
+        traj = run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05),
+                   max_steps=optimizers.MAX_STEPS, grad_tol=1e300)
+        assert [s.k for s in traj.steps] == [0]
+        assert traj.terminal_reason is TerminalReason.GRAD_NORM_BELOW
+
     def test_whole_float_max_steps_runs(self, single_qubit):
         circ, h = single_qubit
         traj = run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=3.0)
