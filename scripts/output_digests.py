@@ -28,9 +28,10 @@ into an older checkout to digest that tree. It digests
   ``natvqe metric --help``, which show the preset table and the option
   defaults;
 * the exit code and standard error of ``natvqe run --config`` for each of a set
-  of bad config files (wrong JSON types, a missing field, not JSON, a theta0 of
-  the wrong length, integers too large for a float or past Python's digit
-  limit, an unused parameter slot, bytes that are not UTF-8).
+  of bad config files (wrong JSON types, a missing field at the top level or in
+  a gate, not JSON, a theta0 of the wrong length, integers too large for a
+  float or past Python's digit limit, an unused parameter slot, bytes that are
+  not UTF-8).
 
 The workloads come from ``perfbench/workloads.py``, which is only imported.
 """
@@ -205,6 +206,8 @@ def _bad_configs() -> dict[str, object]:
     huge_matrix[1][2][0] = huge
     missing = dict(good)
     del missing["theta0"]
+    no_matrix, no_targets = with_gate(3), with_gate(0)
+    del no_matrix["circuit"]["gates"][3]["matrix"], no_targets["circuit"]["gates"][0]["targets"]
     return {
         "n-qubits-fraction": dict(good, circuit=dict(good["circuit"], n_qubits=2.9)),
         "target-text": with_gate(0, targets=["1"]),
@@ -212,6 +215,8 @@ def _bad_configs() -> dict[str, object]:
         "coefficient-text": dict(good, hamiltonian=[["0.4", "ZI"], [-0.3, "IX"]]),
         "matrix-entry-bool": with_gate(3, matrix=matrix),
         "missing-theta0": missing,
+        "gate-missing-matrix": no_matrix,
+        "gate-missing-targets": no_targets,
         "not-json": "{not json",
         "theta0-length": dict(good, theta0=[0.3, -0.7, 1.1]),
         # older trees exit 3 on these, and list every unused slot of the last one

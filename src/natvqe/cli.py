@@ -38,7 +38,6 @@ from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_
 from .geometry import DEFAULT_RANK_TOL, MetricKind, MetricMatrix, metric_for, singularity_report
 from .optimizers import (
     DEFAULT_POLICY,
-    MAX_STEPS,
     ConstantRate,
     EigenFloor,
     InverseStepRate,
@@ -47,9 +46,10 @@ from .optimizers import (
     Tikhonov,
     Trajectory,
     TrajectoryStep,
+    check_limits,
     run,
 )
-from .states import AnsatzCircuit
+from .states import AnsatzCircuit, check_parameters
 from .svgplot import line_plot
 
 OUT_DIR_ENV = "NATVQE_OUT_DIR"
@@ -115,16 +115,11 @@ def _parse_optimizers(text: str) -> list[OptimizerKind]:
     return kinds
 
 
-def _parse_theta(text: str, n_params: int) -> tuple[float, ...]:
+def _parse_theta(text: str, circ: AnsatzCircuit) -> np.ndarray:
     try:
-        values = tuple(float(x) for x in text.split(","))
+        return check_parameters(circ, [float(x) for x in text.split(",")])
     except ValueError as exc:
-        raise ConfigError(f"bad theta value: {exc}") from exc
-    if len(values) != n_params:
-        raise ConfigError(f"theta needs {n_params} component(s), got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"theta must be finite, got {text!r}")
-    return values
+        raise ConfigError(f"bad theta {text!r}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -192,13 +187,8 @@ def cmd_run(args) -> int:
     kinds = _parse_optimizers(args.optimizer)
     eta = args.eta if args.eta is not None else problem.eta
     max_steps = args.steps if args.steps is not None else problem.max_steps
-    if max_steps < 1:
-        raise ConfigError("max_steps must be at least 1")
-    if max_steps > MAX_STEPS:
-        raise ConfigError(f"max_steps must be at most {MAX_STEPS}, got {max_steps}")
-    if not (0.0 <= args.grad_tol < math.inf):
-        raise ConfigError(f"grad_tol must be finite and non-negative, got {args.grad_tol}")
     try:
+        check_limits(max_steps, args.grad_tol)
         schedule = _SCHEDULES[args.schedule](eta)
         policy = _POLICIES[args.regularization](args.reg_epsilon)
     except ValueError as exc:
@@ -269,7 +259,7 @@ def _is_two_layer_ansatz(circ: AnsatzCircuit) -> bool:
 def cmd_metric(args) -> int:
     problem = _problem_from_args(args)
     circ = problem.circuit
-    theta = _parse_theta(args.theta, circ.n_params) if args.theta else problem.theta0
+    theta = _parse_theta(args.theta, circ) if args.theta else problem.theta0
     if not (0.0 <= args.rank_tol < math.inf):
         raise ConfigError(f"rank_tol must be finite and non-negative, got {args.rank_tol}")
     wanted = _METRIC_NAMES.values() if args.kind == "all" else (_METRIC_NAMES[args.kind],)

@@ -26,12 +26,12 @@ import numpy as np
 from .observables import PauliHamiltonian, dense_matrix, pauli_sum
 from .optimizers import (
     DEFAULT_POLICY,
-    MAX_STEPS,
     ConstantRate,
     LearningRateSchedule,
     OptimizerKind,
     RegularizationPolicy,
     Trajectory,
+    check_limits,
     run,
 )
 from .states import AnsatzCircuit, Gate, GateKind, check_parameters, circuit, cnot, phase, ry
@@ -76,6 +76,8 @@ def h2_hamiltonian(alpha: float = 0.4, beta: float = 0.2) -> PauliHamiltonian:
 class Problem:
     """A named problem instance: a Hamiltonian, an ansatz, a start and run settings.
 
+    ``theta0`` must fit the circuit, ``eta`` be positive and finite and ``max_steps``
+    a whole number from 1 to ``optimizers.MAX_STEPS``; all are checked at construction.
     Only presets carry a ``reference_energy``: the exact ground energy of the
     Hamiltonian, checked at construction, which ``compare`` measures against.
 
@@ -96,8 +98,8 @@ class Problem:
     (explicit matrix; entries are [re, im] pairs).  ``n_qubits`` (1 to
     ``states.MAX_QUBITS``), targets and ``param_index`` must be JSON integers,
     and coefficients, matrix entries, ``theta0``, ``eta`` (default 0.05) and
-    ``max_steps`` (a whole number up to ``optimizers.MAX_STEPS``, default 100)
-    JSON numbers that fit a float, not strings or booleans.
+    ``max_steps`` (default 100) JSON numbers that fit a float, not strings or
+    booleans.
     """
 
     name: str
@@ -109,6 +111,9 @@ class Problem:
     reference_energy: float | None = None
 
     def __post_init__(self) -> None:
+        check_parameters(self.circuit, self.theta0)
+        ConstantRate(self.eta)  # raises for a rate the schedule would not take
+        check_limits(self.max_steps)
         if self.reference_energy is not None:
             ground = float(np.linalg.eigvalsh(dense_matrix(self.hamiltonian))[0])
             if abs(ground - self.reference_energy) > 1e-10:
@@ -123,18 +128,15 @@ class Problem:
             circ = _circuit_from_json(doc["circuit"])
             hamiltonian = _hamiltonian_from_json(doc["hamiltonian"], circ.n_qubits)
             theta0 = tuple(_json_number(x, "theta0 entry") for x in doc["theta0"])
-            check_parameters(circ, theta0)
             max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
-            if not max_steps.is_integer():
+            if not max_steps.is_integer():  # int() would truncate 2.5 to 2
                 raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
-            if max_steps > MAX_STEPS:
-                raise ValueError(f"max_steps must be at most {MAX_STEPS}, got {max_steps!r}")
             eta = _json_number(doc.get("eta", 0.05), "eta")
+            return cls(name, hamiltonian, circ, theta0, eta, int(max_steps))
         except KeyError as exc:
             raise ValueError(f"config file missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad config file: {exc}") from exc
-        return cls(name, hamiltonian, circ, theta0, eta, int(max_steps))
 
     def to_json(self) -> dict:
         """The problem as a JSON document, which ``from_json`` reads back gate for gate."""
@@ -169,7 +171,10 @@ def _gate_from_json(entry, index: int) -> Gate:
     try:
         kind = GateKind(entry["kind"])
         targets = tuple(_json_int(t, "gate target") for t in entry["targets"])
-    except (KeyError, ValueError, TypeError) as exc:
+        rows = entry["matrix"] if kind is GateKind.UNITARY else None
+    except KeyError as exc:
+        raise ValueError(f"gate {index} missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"bad gate entry {entry!r}: {exc}") from exc
     param = entry.get("param_index")
     param = None if param is None else _json_int(param, "param_index")
@@ -178,8 +183,8 @@ def _gate_from_json(entry, index: int) -> Gate:
         try:
             matrix = np.array([[complex(_json_number(real, "matrix entry"),
                                         _json_number(imag, "matrix entry"))
-                                for real, imag in row] for row in entry["matrix"]])
-        except (KeyError, TypeError, ValueError) as exc:
+                                for real, imag in row] for row in rows])
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad unitary matrix in gate {index}: {exc}") from exc
     return Gate(kind, targets, param, matrix)
 

@@ -37,6 +37,7 @@ __all__ = [
     "Trajectory",
     "DEFAULT_POLICY",
     "MAX_STEPS",
+    "check_limits",
     "solve_regularized",
     "run",
 ]
@@ -185,6 +186,19 @@ def solve_regularized(
     return x
 
 
+def check_limits(max_steps: int, grad_tol: float = 0.0) -> None:
+    """Raise unless ``max_steps`` is whole in [1, MAX_STEPS] and ``grad_tol`` finite and >= 0."""
+    # compared, not math.isfinite: that overflows on an int past the float range
+    if not (-math.inf < max_steps < math.inf and max_steps == int(max_steps)):
+        raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"max_steps must be at most {MAX_STEPS}")
+    if not (0.0 <= grad_tol < math.inf):
+        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
+
+
 def run(
     kind: OptimizerKind,
     hamiltonian: PauliHamiltonian,
@@ -202,18 +216,8 @@ def run(
     inputs give bit-identical trajectories.  It stops after ``max_steps``
     updates, when the gradient norm falls below ``grad_tol`` (if positive), or
     as soon as a non-finite parameter, energy, or gradient appears.
-    ``max_steps`` must be a whole number from 1 to ``MAX_STEPS`` and
-    ``grad_tol`` finite and >= 0.
     """
-    # compared, not math.isfinite: that overflows on an int past the float range
-    if not (-math.inf < max_steps < math.inf and max_steps == int(max_steps)):
-        raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    if max_steps > MAX_STEPS:
-        raise ValueError(f"max_steps must be at most {MAX_STEPS}")
-    if not (0.0 <= grad_tol < math.inf):
-        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
+    check_limits(max_steps, grad_tol)
     if circ.n_params == 0:
         raise ValueError("circuit has no parameters to optimize")
     theta = check_parameters(circ, theta0)

@@ -226,6 +226,12 @@ class TestRunCommand:
         ([], {"hamiltonian": [[10 ** 400, "ZI"], [0.4, "IZ"], [0.2, "XX"]]}),
         ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
                                        "matrix": [[[0, 0], [10 ** 400, 0]], [[1, 0], [0, 0]]]})}),
+        # a bad config value used to pass unchecked when a flag overrode it
+        (["--steps", "5"], {"max_steps": 0}),
+        (["--steps", "5"], {"max_steps": -7}),
+        (["--eta", "0.1"], {"eta": -1.0}),
+        (["--eta", "0.1"], {"eta": 0}),
+        (["--eta", "0.1", "--steps", "3"], {"eta": -1.0, "max_steps": 0}),
     ], ids=["steps-0", "eta-0", "eta-inf", "eta-nan", "inverse-eta-negative", "epsilon-0",
             "pinv-cut-inf", "theta0-length", "config-max-steps-0", "config-eta-text",
             "config-eta-null", "config-max-steps-fraction", "config-max-steps-bool",
@@ -235,7 +241,9 @@ class TestRunCommand:
             "config-param-index-fraction", "config-param-index-bool", "config-coefficient-text",
             "config-coefficient-bool", "config-matrix-entry-text", "config-matrix-entry-bool",
             "config-eta-huge", "config-max-steps-huge", "config-theta0-huge",
-            "config-coefficient-huge", "config-matrix-entry-huge"])
+            "config-coefficient-huge", "config-matrix-entry-huge",
+            "config-max-steps-0-steps-flag", "config-max-steps-negative-steps-flag",
+            "config-eta-negative-eta-flag", "config-eta-0-eta-flag", "config-both-both-flags"])
     def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
         config = write_config(tmp_path, dict(CUSTOM_CONFIG, **fields))
         out = tmp_path / "out"
@@ -381,7 +389,7 @@ class TestMetricCommand:
 
     def test_wrong_arity(self, capsys):
         assert main(["metric", "--preset", "h2-a", "--theta", "0.1,0.2"]) == 2
-        assert "4 component" in capsys.readouterr().err
+        assert "takes 4 parameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize("theta", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
     def test_non_finite_theta_is_config_error(self, theta, capsys):

@@ -172,6 +172,48 @@ class TestProblemJson:
         doc["max_steps"] = MAX_STEPS
         assert Problem.from_json(doc, "qubit").max_steps == MAX_STEPS
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_steps", 0, "max_steps must be at least 1"),
+        ("max_steps", -7, "max_steps must be at least 1"),
+        ("eta", 0.0, "eta must be positive and finite"),
+        ("eta", -1.0, "eta must be positive and finite"),
+        ("eta", math.inf, "eta must be positive and finite"),
+        ("eta", math.nan, "eta must be positive and finite"),
+    ])
+    def test_run_settings_checked(self, field, value, message):
+        # such a document used to build a Problem that only run rejected
+        doc = dict(load_preset("qubit-a").to_json(), **{field: value})
+        with pytest.raises(ValueError, match=f"^bad config file: {message}"):
+            Problem.from_json(doc, "qubit")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta", 0.0, "eta must be positive and finite"),
+        ("eta", -1.0, "eta must be positive and finite"),
+        ("max_steps", 0, "max_steps must be at least 1"),
+        ("max_steps", MAX_STEPS + 1, f"max_steps must be at most {MAX_STEPS}"),
+        ("max_steps", 2.5, "max_steps must be a whole number"),
+        ("theta0", (0.1,), r"circuit takes 2 parameter\(s\), got shape \(1,\)"),
+        ("theta0", (0.1, math.nan), "parameters must be finite"),
+    ])
+    def test_direct_construction_checks_theta0_eta_and_max_steps(self, field, value, message):
+        fields = dict(vars(load_preset("qubit-a")), **{field: value})
+        with pytest.raises(ValueError, match=message):
+            Problem(**fields)
+
+    @pytest.mark.parametrize("gate, field", [
+        ({"kind": "unitary", "targets": [0]}, "matrix"),
+        ({"kind": "ry", "param_index": 0}, "targets"),
+        ({"targets": [0], "param_index": 0}, "kind"),
+    ])
+    def test_gate_missing_field_is_named(self, gate, field):
+        # these used to read "bad unitary matrix in gate 2: 'matrix'" and
+        # "bad gate entry {...}: 'targets'", the bare KeyError text
+        doc = load_preset("qubit-a").to_json()
+        doc["circuit"]["gates"].append(gate)
+        with pytest.raises(ValueError) as info:
+            Problem.from_json(doc, "qubit")
+        assert str(info.value) == f"bad config file: gate 2 missing field '{field}'"
+
     def test_bad_unitary_names_the_gate_and_the_cause(self):
         doc = load_preset("qubit-a").to_json()
         unitary = {"kind": "unitary", "targets": [0],

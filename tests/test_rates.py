@@ -1,0 +1,146 @@
+"""The natural gradient's endgame is set by H's spectrum.
+
+At a point whose state is the ground state, (H - E0) phi = 0, so the energy
+Hessian is Hess = 2 Re T^dag (H - E0) T with T the tangents, and the
+Fubini-Study metric is F = Re T^dag (1 - |phi><phi|) T.  Both are quadratic
+forms in the projected tangents, so every eigenvalue of F^+ Hess on F's range
+is a Rayleigh quotient of 2 (H - E0) on vectors orthogonal to phi, and lies in
+[2 (E1 - E0), 2 (Emax - E0)] whatever the ansatz.  The natural step at rate eta
+therefore contracts the energy error by (1 - 2 eta (E1 - E0))^2 per step in
+its slowest mode, and converges locally iff eta < 1 / (Emax - E0).
+Vanilla's rate depends on the Hessian at the point of the minimizing fiber
+where it lands, which depends on the ansatz.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from natvqe import ConstantRate, OptimizerKind, build_state, load_preset, pauli_sum, run
+from natvqe.geometry import fubini_study_metric
+from natvqe.observables import dense_matrix, energy_and_gradient
+from natvqe.states import state_and_tangents
+from test_states import random_circuit
+
+ETA = 0.05
+
+
+def spectrum(problem):
+    return np.linalg.eigvalsh(dense_matrix(problem.hamiltonian))
+
+
+def late_ratio(problem, kind):
+    """The per-step energy-error ratio over the records whose error lies in (1e-11, 1e-5).
+
+    It is the geometric mean over that window, which the run crosses once.
+    """
+    e0 = spectrum(problem)[0]
+    traj = run(kind, problem.hamiltonian, problem.circuit, problem.theta0, ConstantRate(ETA),
+               max_steps=problem.max_steps)
+    error = traj.energies() - e0
+    window = np.flatnonzero((error > 1e-11) & (error < 1e-5))
+    assert len(window) > 50 and np.all(np.diff(window) == 1)
+    first, last = window[0], window[-1]
+    return (error[last] / error[first]) ** (1.0 / (last - first))
+
+
+def predicted_ratio(gap):
+    return (1.0 - 2.0 * ETA * gap) ** 2
+
+
+@pytest.mark.parametrize("name", ["h2-a", "h2-plateau"])
+def test_natural_rate_is_set_by_the_gap(name):
+    problem = load_preset(name)
+    e = spectrum(problem)
+    assert predicted_ratio(e[1] - e[0]) == pytest.approx(0.87898, abs=1e-5)
+    assert late_ratio(problem, OptimizerKind.NATURAL_FS) == pytest.approx(
+        predicted_ratio(e[1] - e[0]), abs=1e-4)
+
+
+def test_natural_rate_on_toy_lies_between_its_two_slowest_modes():
+    # E1 = -0.02 and E2 = 0.02 lie close together, so both modes are still alive
+    problem = load_preset("toy")
+    e = spectrum(problem)
+    slow, next_slow = predicted_ratio(e[1] - e[0]), predicted_ratio(e[2] - e[0])
+    assert (next_slow, slow) == pytest.approx((0.84268, 0.85004), abs=1e-5)
+    assert next_slow < late_ratio(problem, OptimizerKind.NATURAL_FS) < slow
+
+
+@pytest.mark.parametrize("name, measured", [("h2-a", 0.922), ("h2-plateau", 0.887),
+                                            ("toy", 0.938)])
+def test_vanilla_rate_is_not_the_spectral_prediction(name, measured):
+    problem = load_preset(name)
+    e = spectrum(problem)
+    ratio = late_ratio(problem, OptimizerKind.VANILLA)
+    assert ratio == pytest.approx(measured, abs=1e-3)
+    assert abs(ratio - predicted_ratio(e[1] - e[0])) > 5e-3
+
+
+def test_step_size_bound_per_preset():
+    for name, bound in [("toy", 0.625), ("h2-a", 0.606), ("h2-plateau", 0.606)]:
+        e = spectrum(load_preset(name))
+        assert 1.0 / (e[-1] - e[0]) == pytest.approx(bound, abs=5e-4)
+
+
+def pauli_hamiltonian(matrix):
+    """The Pauli sum whose dense matrix is the Hermitian ``matrix``."""
+    n = int(np.log2(len(matrix)))
+    terms = []
+    for letters in itertools.product("IXYZ", repeat=n):
+        label = "".join(letters)
+        pauli = dense_matrix(pauli_sum(n, [(1.0, label)]))
+        terms.append((float(np.trace(pauli @ matrix).real) / 2 ** n, label))
+    return pauli_sum(n, terms)
+
+
+def ground_state_problem(rng):
+    """A random circuit of at most 3 qubits, a theta*, and a Hamiltonian with a random
+    gapped spectrum whose ground state is phi(theta*)."""
+    circ = random_circuit(rng)
+    while circ.n_qubits > 3:
+        circ = random_circuit(rng)
+    theta = rng.uniform(-np.pi, np.pi, circ.n_params)
+    d = 2 ** circ.n_qubits
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z[:, 0] = build_state(circ, theta)
+    basis = np.linalg.qr(z)[0]  # column 0 is phi(theta*) up to a phase
+    energies = np.concatenate([[-1.0], np.sort(rng.uniform(-0.8, 1.0, d - 1))])
+    hamiltonian = pauli_hamiltonian((basis * energies) @ basis.conj().T)
+    return circ, theta, hamiltonian, energies
+
+
+def test_natural_step_spectrum_on_random_circuits():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(40):
+        circ, theta, hamiltonian, e = ground_state_problem(rng)
+        phi, tangents = state_and_tangents(circ, theta)
+        shifted = dense_matrix(hamiltonian) - e[0] * np.eye(len(phi))
+        hess = 2.0 * (tangents.conj() @ shifted @ tangents.T).real
+
+        # oracle: central differences of the exact gradient
+        value, grad = energy_and_gradient(hamiltonian, circ, theta)
+        assert value == pytest.approx(e[0], abs=1e-12)
+        assert np.abs(grad).max() < 1e-12
+        h = 1e-5
+        columns = []
+        for i in range(circ.n_params):
+            step = np.zeros(circ.n_params)
+            step[i] = h
+            columns.append((energy_and_gradient(hamiltonian, circ, theta + step)[1]
+                            - energy_and_gradient(hamiltonian, circ, theta - step)[1]) / (2 * h))
+        np.testing.assert_allclose(hess, np.array(columns).T, atol=1e-6)
+
+        metric = fubini_study_metric(circ, theta).values
+        w, v = np.linalg.eigh(metric)
+        rank = w > 1e-9 * max(w[-1], 1.0)
+        if not rank.any():
+            continue
+        # Hess vanishes wherever F does, so F^+ Hess lives on F's range
+        np.testing.assert_allclose(hess @ v[:, ~rank], 0.0, atol=1e-9)
+        scale = v[:, rank] / np.sqrt(w[rank])
+        eigenvalues = np.linalg.eigvalsh(scale.T @ hess @ scale)
+        assert eigenvalues.min() >= 2.0 * (e[1] - e[0]) - 1e-7
+        assert eigenvalues.max() <= 2.0 * (e[-1] - e[0]) + 1e-7
+        checked += 1
+    assert checked >= 30
