@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -35,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_preset
-from .geometry import DEFAULT_RANK_TOL, MetricKind, MetricMatrix, metric_for, singularity_report
+from .geometry import DEFAULT_RANK_TOL, MetricMatrix, check_rank_tol, singularity_report
 from .optimizers import (
     DEFAULT_POLICY,
     ConstantRate,
@@ -47,6 +46,7 @@ from .optimizers import (
     Trajectory,
     TrajectoryStep,
     check_limits,
+    metric_for,
     run,
 )
 from .states import AnsatzCircuit, check_parameters
@@ -61,10 +61,11 @@ EXIT_RUNTIME = 3
 _OPTIMIZER_NAMES = {k.value: k for k in OptimizerKind}
 _SCHEDULES = {"constant": ConstantRate, "inverse": InverseStepRate}
 _POLICIES = {"eigenfloor": EigenFloor, "tikhonov": Tikhonov, "pinv": PseudoInverse}
+# --kind name -> (the rule whose metric is printed, the printed label)
 _METRIC_NAMES = {
-    "fs": MetricKind.FUBINI_STUDY,
-    "ite": MetricKind.ITE,
-    "classical": MetricKind.CLASSICAL_FISHER,
+    "fs": (OptimizerKind.NATURAL_FS, "fubini_study"),
+    "ite": (OptimizerKind.ITE, "ite_gram"),
+    "classical": (OptimizerKind.NATURAL_CLASSICAL, "classical_fisher"),
 }
 
 
@@ -239,9 +240,9 @@ def _format_matrix(values: np.ndarray) -> str:
     return "\n".join(rows)
 
 
-def _print_metric(metric: MetricMatrix, rank_tol: float) -> None:
+def _print_metric(label: str, metric: MetricMatrix, rank_tol: float) -> None:
     report = singularity_report(metric, rank_tol)
-    print(f"{metric.kind.value}:")
+    print(f"{label}:")
     print(_format_matrix(metric.values))
     print(f"  determinant    = {report.determinant!r}")
     print(f"  min_eigenvalue = {report.min_eigenvalue!r}")
@@ -260,13 +261,15 @@ def cmd_metric(args) -> int:
     problem = _problem_from_args(args)
     circ = problem.circuit
     theta = _parse_theta(args.theta, circ) if args.theta else problem.theta0
-    if not (0.0 <= args.rank_tol < math.inf):
-        raise ConfigError(f"rank_tol must be finite and non-negative, got {args.rank_tol}")
+    try:
+        check_rank_tol(args.rank_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     wanted = _METRIC_NAMES.values() if args.kind == "all" else (_METRIC_NAMES[args.kind],)
-    for kind in wanted:
+    for kind, label in wanted:
         metric = metric_for(kind, problem.hamiltonian, circ, theta)
-        _print_metric(metric, args.rank_tol)
-        if kind is MetricKind.FUBINI_STUDY and _is_two_layer_ansatz(circ):
+        _print_metric(label, metric, args.rank_tol)
+        if kind is OptimizerKind.NATURAL_FS and _is_two_layer_ansatz(circ):
             # two-layer couplings sit at (1,3) and (2,4); the product of the
             # coupling-block determinants vanishes exactly on product states
             f = metric.values

@@ -17,31 +17,28 @@ states of a circuit:
 Rank deficiency of these matrices marks singular parameter points: directions
 along which the state (or the outcome distribution) does not move.
 
-``MetricKind`` names the geometry, and ``metric_for`` is the one place that
-picks which of the three to compute: the optimizers and ``natvqe metric`` both
-call it.
+Which geometry an update rule uses is chosen in one place,
+``optimizers.metric_for``; a ``MetricMatrix`` carries only its values.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .observables import PauliHamiltonian, SpectralDecomposition, spectral_decompose
+from .observables import SpectralDecomposition
 from .states import AnsatzCircuit, state_and_tangents
 
 __all__ = [
-    "MetricKind",
     "MetricMatrix",
     "SingularityReport",
+    "check_rank_tol",
     "MetricUndefinedError",
     "fubini_study_metric",
     "ite_matrix",
     "classical_fisher_metric",
-    "metric_for",
     "singularity_report",
     "entanglement_entropy",
 ]
@@ -52,25 +49,18 @@ PROB_FLOOR = 1e-12  # outcomes this unlikely are left out of the Fisher sum
 DEFAULT_RANK_TOL = 1e-9
 
 
-class MetricKind(Enum):
-    FUBINI_STUDY = "fubini_study"
-    ITE = "ite_gram"
-    CLASSICAL_FISHER = "classical_fisher"
-
-
 class MetricUndefinedError(ValueError):
     """Raised when a metric does not exist at the given parameters."""
 
 
 @dataclass(frozen=True, eq=False)
 class MetricMatrix:
-    """Real symmetric PSD matrix tagged with the geometry it represents.
+    """Real symmetric positive semidefinite matrix: one of the three geometries at a point.
 
     ``eigenvalues`` (ascending, read-only) come from the validation's
     ``eigvalsh``, so diagnostics need not decompose the matrix again.
     """
 
-    kind: MetricKind
     values: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
@@ -113,14 +103,14 @@ def fubini_study_metric(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMa
     bras = tangents.conj()
     overlap = bras @ phi
     values = (bras @ tangents.T).real - (overlap[:, None] * overlap.conj()).real
-    return MetricMatrix(MetricKind.FUBINI_STUDY, _symmetrized(values))
+    return MetricMatrix(_symmetrized(values))
 
 
 def ite_matrix(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMatrix:
     """Gram matrix Re<d_i phi|d_j phi> used by the imaginary-time-evolution update."""
     _, tangents = state_and_tangents(circ, theta)
     values = (tangents.conj() @ tangents.T).real
-    return MetricMatrix(MetricKind.ITE, _symmetrized(values))
+    return MetricMatrix(_symmetrized(values))
 
 
 def classical_fisher_metric(
@@ -147,21 +137,7 @@ def classical_fisher_metric(
         raise MetricUndefinedError("metric undefined: degenerate distribution")
     dp = dp[:, kept]
     values = (dp / p[kept]) @ dp.T
-    return MetricMatrix(MetricKind.CLASSICAL_FISHER, _symmetrized(values))
-
-
-def metric_for(
-    kind: MetricKind,
-    hamiltonian: PauliHamiltonian,
-    circ: AnsatzCircuit,
-    theta: Sequence[float],
-) -> MetricMatrix:
-    """The ``kind`` metric at theta; only the classical Fisher metric reads ``hamiltonian``."""
-    if kind is MetricKind.FUBINI_STUDY:
-        return fubini_study_metric(circ, theta)
-    if kind is MetricKind.ITE:
-        return ite_matrix(circ, theta)
-    return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
+    return MetricMatrix(_symmetrized(values))
 
 
 @dataclass(frozen=True)
@@ -174,13 +150,19 @@ class SingularityReport:
     is_singular: bool
 
 
+def check_rank_tol(rank_tol: float) -> None:
+    """Raise unless ``rank_tol`` is non-negative and finite."""
+    # bounded by the largest float, not inf: an int past the float range overflows later
+    if not (0.0 <= rank_tol <= sys.float_info.max):
+        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
+
+
 def singularity_report(metric: MetricMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SingularityReport:
     """Determinant, smallest eigenvalue, and rank at ``rank_tol`` (relative to the largest eigenvalue).
 
-    ``rank_tol`` must be finite and non-negative.
+    ``rank_tol`` must pass ``check_rank_tol``.
     """
-    if not (0.0 <= rank_tol < math.inf):
-        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
+    check_rank_tol(rank_tol)
     eigs = metric.eigenvalues
     scale = max(float(eigs[-1]), 0.0)
     rank = int(np.count_nonzero(eigs > rank_tol * scale)) if scale > 0.0 else 0

@@ -7,22 +7,23 @@ matrix, and the natural gradient with the classical Fisher metric.  The
 inverse is always taken through a regularization policy so near-singular
 metrics produce finite (if large) steps instead of NaN.
 
-``run`` is the only update loop.  It maps its ``OptimizerKind`` to a
-``geometry.MetricKind`` once, and ``geometry.metric_for`` computes that metric
-at every iterate; one update from theta is
+``OptimizerKind`` is the one name of a rule, and ``metric_for`` is the one
+place that maps it to its metric M (None for the identity).  ``run`` is the only
+update loop and calls ``metric_for`` at every iterate; one update from theta is
 ``run(kind, H, circ, theta, ConstantRate(eta), policy, max_steps=1).steps[1].theta``.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import MetricKind, MetricMatrix, metric_for
-from .observables import PauliHamiltonian, energy_and_gradient
+from .geometry import MetricMatrix, classical_fisher_metric, fubini_study_metric, ite_matrix
+from .observables import PauliHamiltonian, energy_and_gradient, spectral_decompose
 from .states import AnsatzCircuit, check_parameters
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "MAX_STEPS",
     "check_limits",
+    "metric_for",
     "solve_regularized",
     "run",
 ]
@@ -50,16 +52,28 @@ class OptimizerKind(Enum):
     NATURAL_CLASSICAL = "classical"  # classical Fisher metric
 
 
-# the geometry each rule preconditions with; VANILLA has none (M = identity)
-_METRIC_KINDS = {
-    OptimizerKind.NATURAL_FS: MetricKind.FUBINI_STUDY,
-    OptimizerKind.ITE: MetricKind.ITE,
-    OptimizerKind.NATURAL_CLASSICAL: MetricKind.CLASSICAL_FISHER,
-}
+def metric_for(
+    kind: OptimizerKind,
+    hamiltonian: PauliHamiltonian,
+    circ: AnsatzCircuit,
+    theta: Sequence[float],
+) -> MetricMatrix | None:
+    """The metric ``kind`` preconditions with at theta: None for VANILLA (M = identity).
+
+    Only the classical Fisher metric reads ``hamiltonian``.
+    """
+    if kind is OptimizerKind.VANILLA:
+        return None
+    if kind is OptimizerKind.NATURAL_FS:
+        return fubini_study_metric(circ, theta)
+    if kind is OptimizerKind.ITE:
+        return ite_matrix(circ, theta)
+    return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (0.0 < value < np.inf):
+    # bounded by the largest float, not inf: an int past the float range overflows later
+    if not (0.0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -221,7 +235,6 @@ def run(
     if circ.n_params == 0:
         raise ValueError("circuit has no parameters to optimize")
     theta = check_parameters(circ, theta0)
-    metric_kind = _METRIC_KINDS.get(kind)
     steps: list[TrajectoryStep] = []
     k = 0
     # An iterate is a few microseconds of arithmetic on m <= ~40 numbers, so its
@@ -235,10 +248,10 @@ def run(
         value, grad = energy_and_gradient(hamiltonian, circ, theta)
         # np.linalg.norm of a contiguous 1-d float array is sqrt(x.dot(x)): the same bits
         grad_norm = math.sqrt(grad.dot(grad))
-        if metric_kind is None:
-            metric, det, min_eig = None, 1.0, 1.0
+        metric = metric_for(kind, hamiltonian, circ, theta)
+        if metric is None:
+            det, min_eig = 1.0, 1.0
         else:
-            metric = metric_for(metric_kind, hamiltonian, circ, theta)
             eigs = metric.eigenvalues
             det, min_eig = float(eigs.prod()), float(eigs[0])
         steps.append(TrajectoryStep(k, record, value, grad_norm, det, min_eig))
