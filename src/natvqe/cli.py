@@ -180,6 +180,18 @@ def trajectory_to_json(trajectory: Trajectory, config_echo: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def trajectory_plot(named_steps, title: str, path: bool = False) -> str:
+    """SVG of (label, records) series: energy per iteration, or with ``path`` the
+    (theta_1, theta_2) path with its start marked."""
+    if path:
+        series = [(label, [s.theta[0] for s in steps], [s.theta[1] for s in steps])
+                  for label, steps in named_steps]
+        return line_plot(series, title=title, xlabel="theta_1", ylabel="theta_2", markers=True)
+    series = [(label, [float(s.k) for s in steps], [s.energy for s in steps])
+              for label, steps in named_steps]
+    return line_plot(series, title=title, xlabel="iteration", ylabel="energy")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -279,33 +291,20 @@ def cmd_metric(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    parsed = []
+    named_steps = []
     for path in args.trajectories:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        steps, n_params = parse_trajectory_csv(text)
-        parsed.append((Path(path).stem, steps, n_params))
+        named_steps.append((Path(path).stem, parse_trajectory_csv(text)[0]))
 
-    if args.path:
-        if any(n_params != 2 for _, _, n_params in parsed):
-            print("error: path plot requires 2 parameters", file=sys.stderr)
-            return EXIT_CONFIG
-        series = [
-            (label, [s.theta[0] for s in steps], [s.theta[1] for s in steps])
-            for label, steps, _ in parsed
-        ]
-        svg = line_plot(series, title=args.title or "parameter path",
-                        xlabel="theta_1", ylabel="theta_2", markers=True)
-    else:
-        series = [
-            (label, [float(s.k) for s in steps], [s.energy for s in steps])
-            for label, steps, _ in parsed
-        ]
-        svg = line_plot(series, title=args.title or "energy per iteration",
-                        xlabel="iteration", ylabel="energy")
+    if args.path and any(len(steps[0].theta) != 2 for _, steps in named_steps):
+        print("error: path plot requires 2 parameters", file=sys.stderr)
+        return EXIT_CONFIG
+    title = args.title or ("parameter path" if args.path else "energy per iteration")
+    svg = trajectory_plot(named_steps, title, path=args.path)
     try:
         Path(args.out).write_text(svg, encoding="utf-8", newline="")
     except OSError as exc:

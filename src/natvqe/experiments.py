@@ -18,7 +18,7 @@ one row each of the ``_PRESETS`` table, whose keys in order are ``PRESET_NAMES``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import pi
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .observables import PauliHamiltonian, dense_matrix, pauli_sum
 from .optimizers import (
     DEFAULT_POLICY,
     ConstantRate,
-    LearningRateSchedule,
     OptimizerKind,
     RegularizationPolicy,
     Trajectory,
@@ -78,8 +77,8 @@ class Problem:
 
     ``theta0`` must fit the circuit, ``eta`` be positive and finite and ``max_steps``
     a whole number from 1 to ``optimizers.MAX_STEPS``; all are checked at construction.
-    Only presets carry a ``reference_energy``: the exact ground energy of the
-    Hamiltonian, checked at construction, which ``compare`` measures against.
+    ``reference_energy`` is not an input: it is the Hamiltonian's ground energy,
+    computed by exact diagonalization, which ``compare`` measures against.
 
     ``from_json`` reads and ``to_json`` writes a problem as a JSON document,
     the format of ``natvqe run --config``::
@@ -108,18 +107,16 @@ class Problem:
     theta0: tuple[float, ...]
     eta: float
     max_steps: int
-    reference_energy: float | None = None
 
     def __post_init__(self) -> None:
         check_parameters(self.circuit, self.theta0)
         ConstantRate(self.eta)  # raises for a rate the schedule would not take
         check_limits(self.max_steps)
-        if self.reference_energy is not None:
-            ground = float(np.linalg.eigvalsh(dense_matrix(self.hamiltonian))[0])
-            if abs(ground - self.reference_energy) > 1e-10:
-                raise ValueError(
-                    f"reference energy {self.reference_energy} is not the ground energy {ground}"
-                )
+
+    @property
+    def reference_energy(self) -> float:
+        """The Hamiltonian's ground energy, the lowest eigenvalue of its dense matrix."""
+        return float(np.linalg.eigvalsh(dense_matrix(self.hamiltonian))[0])
 
     @classmethod
     def from_json(cls, doc: Mapping, name: str) -> Problem:
@@ -218,18 +215,17 @@ def _hamiltonian_from_json(terms, n_qubits: int) -> PauliHamiltonian:
         raise ValueError(f"bad hamiltonian terms: {exc}") from exc
 
 
-# name -> (Hamiltonian, ansatz function, theta0, eta, max_steps, reference energy)
+# name -> (Hamiltonian, ansatz function, theta0, eta, max_steps); a preset's
+# ground energy is computed from its Hamiltonian, like any problem's
 _PRESETS = {
-    "qubit-a": (sigma_x_hamiltonian(), single_qubit_ansatz,
-                (pi / 12, pi / 12), 0.05, 300, -1.0),
-    "qubit-b": (sigma_x_hamiltonian(), single_qubit_ansatz,
-                (5 * pi / 12, pi / 12), 0.05, 300, -1.0),
+    "qubit-a": (sigma_x_hamiltonian(), single_qubit_ansatz, (pi / 12, pi / 12), 0.05, 300),
+    "qubit-b": (sigma_x_hamiltonian(), single_qubit_ansatz, (5 * pi / 12, pi / 12), 0.05, 300),
     "h2-a": (h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz,
-             (-0.2, -0.2, 0.0, 0.0), 0.05, 1000, -sqrt(4 * 0.4 ** 2 + 0.2 ** 2)),
+             (-0.2, -0.2, 0.0, 0.0), 0.05, 1000),
     "h2-plateau": (h2_hamiltonian(0.4, 0.2), hardware_efficient_ansatz,
-                   (7 * pi / 32, pi / 2, 0.0, 0.0), 0.05, 3000, -sqrt(4 * 0.4 ** 2 + 0.2 ** 2)),
+                   (7 * pi / 32, pi / 2, 0.0, 0.0), 0.05, 3000),
     "toy": (h2_hamiltonian(0.4, 0.02), hardware_efficient_ansatz,
-            (-0.2, -0.2, 0.0, 0.0), 0.05, 3000, -sqrt(4 * 0.4 ** 2 + 0.02 ** 2)),
+            (-0.2, -0.2, 0.0, 0.0), 0.05, 3000),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -239,8 +235,8 @@ def load_preset(name: str) -> Problem:
     """Look up a built-in preset by name; each call builds a fresh circuit."""
     if name not in PRESET_NAMES:  # a tuple: an unhashable name is unknown, not a TypeError
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    hamiltonian, ansatz, theta0, eta, max_steps, reference = _PRESETS[name]
-    return Problem(name, hamiltonian, ansatz(), theta0, eta, max_steps, reference)
+    hamiltonian, ansatz, theta0, eta, max_steps = _PRESETS[name]
+    return Problem(name, hamiltonian, ansatz(), theta0, eta, max_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,20 +267,19 @@ def compare(
     kinds: Sequence[OptimizerKind],
     threshold: float = DEFAULT_THRESHOLD,
     *,
-    schedule: LearningRateSchedule | None = None,
     policy: RegularizationPolicy = DEFAULT_POLICY,
     max_steps: int | None = None,
 ) -> ComparisonReport:
-    """Run several optimizers on a problem with a reference energy, such as a
-    preset, under one shared schedule/policy."""
-    if problem.reference_energy is None:
-        raise ValueError(f"problem {problem.name!r} has no reference energy to compare against")
-    schedule = schedule if schedule is not None else ConstantRate(problem.eta)
+    """Run each optimizer on any problem at its constant rate ``eta`` under one policy and
+    count its steps to within ``threshold`` of the problem's ground energy; to run it
+    at another rate, pass ``dataclasses.replace(problem, eta=...)``."""
+    schedule = ConstantRate(problem.eta)
     limit = max_steps if max_steps is not None else problem.max_steps
+    reference = problem.reference_energy
     results: dict[OptimizerKind, OptimizerResult] = {}
     for kind in kinds:
         trajectory = run(kind, problem.hamiltonian, problem.circuit, problem.theta0,
                          schedule, policy, max_steps=limit)
         results[kind] = OptimizerResult(
-            steps_to_threshold(trajectory, problem.reference_energy, threshold), trajectory)
+            steps_to_threshold(trajectory, reference, threshold), trajectory)
     return ComparisonReport(results)

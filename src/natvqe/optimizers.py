@@ -60,7 +60,8 @@ def metric_for(
 ) -> MetricMatrix | None:
     """The metric ``kind`` preconditions with at theta: None for VANILLA (M = identity).
 
-    Only the classical Fisher metric reads ``hamiltonian``.
+    Only the classical Fisher metric reads ``hamiltonian``.  A ``kind`` that is not
+    an ``OptimizerKind``, such as its value ``"natural"``, is a ``TypeError``.
     """
     if kind is OptimizerKind.VANILLA:
         return None
@@ -68,7 +69,9 @@ def metric_for(
         return fubini_study_metric(circ, theta)
     if kind is OptimizerKind.ITE:
         return ite_matrix(circ, theta)
-    return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
+    if kind is OptimizerKind.NATURAL_CLASSICAL:
+        return classical_fisher_metric(circ, theta, spectral_decompose(hamiltonian))
+    raise TypeError(f"kind must be an OptimizerKind, got {kind!r}")
 
 
 def _require_positive(name: str, value: float) -> None:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from natvqe import (
-    DEFAULT_POLICY,
     ConstantRate,
     OptimizerKind,
     PRESET_NAMES,
@@ -60,33 +59,32 @@ class TestPresets:
     def test_qubit_b_start(self):
         p = load_preset("qubit-b")
         np.testing.assert_allclose(p.theta0, [5 * np.pi / 12, np.pi / 12])
+        assert p.reference_energy == -1.0
 
     def test_h2_a_constants(self):
         p = load_preset("h2-a")
         assert p.hamiltonian.terms == ((0.4, "ZI"), (0.4, "IZ"), (0.2, "XX"))
         assert p.theta0 == (-0.2, -0.2, 0.0, 0.0)
+        # the closed form -sqrt(4 alpha^2 + beta^2)
         assert abs(p.reference_energy + math.sqrt(0.68)) < 1e-15
         assert abs(p.reference_energy + 0.82462) < 1e-5
 
     def test_toy_constants(self):
         p = load_preset("toy")
         assert p.hamiltonian.terms[2] == (0.02, "XX")
+        assert abs(p.reference_energy + math.sqrt(0.6404)) < 1e-15
         assert abs(p.reference_energy + 0.80025) < 1e-5
 
     def test_plateau_start(self):
         p = load_preset("h2-plateau")
         np.testing.assert_allclose(p.theta0, [7 * np.pi / 32, np.pi / 2, 0.0, 0.0])
+        assert abs(p.reference_energy + math.sqrt(0.68)) < 1e-15
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_reference_is_ground_energy(self, name):
         p = load_preset(name)
         ground = np.linalg.eigvalsh(dense_matrix(p.hamiltonian))[0]
         assert abs(p.reference_energy - ground) < 1e-10
-
-    def test_wrong_reference_energy_rejected(self):
-        p = load_preset("qubit-a")
-        with pytest.raises(ValueError, match="not the ground energy"):
-            Problem(p.name, p.hamiltonian, p.circuit, p.theta0, p.eta, p.max_steps, -0.9)
 
 
 def gate_layout(circ):
@@ -133,7 +131,7 @@ class TestProblemJson:
             doc = json.loads(json.dumps(problem.to_json()))
             rebuilt = Problem.from_json(doc, problem.name)
             assert rebuilt.name == problem.name
-            assert rebuilt.reference_energy is None
+            assert rebuilt.reference_energy == problem.reference_energy
             assert rebuilt.hamiltonian == problem.hamiltonian
             assert gate_layout(rebuilt.circuit) == gate_layout(problem.circuit)
             assert np.array(rebuilt.theta0).tobytes() == np.array(problem.theta0).tobytes()
@@ -227,11 +225,24 @@ class TestProblemJson:
         assert len(message) < 200
 
 
+def test_reference_is_eigvalsh_bit_for_bit():
+    for problem in random_problems(2024, 200):
+        ground = np.linalg.eigvalsh(dense_matrix(problem.hamiltonian))[0]
+        assert np.float64(problem.reference_energy).tobytes() == ground.tobytes()
+
+
 class TestCompare:
-    def test_needs_a_reference_energy(self):
-        problem = Problem.from_json(load_preset("qubit-a").to_json(), "qubit")
-        with pytest.raises(ValueError, match="no reference energy"):
-            compare(problem, [V])
+    def test_counts_against_the_ground_energy_of_any_problem(self):
+        # a config document carries no ground energy; compare computes it
+        doc = dict(load_preset("h2-a").to_json(), max_steps=60)
+        problem = Problem.from_json(doc, "h2")
+        ground = np.linalg.eigvalsh(dense_matrix(problem.hamiltonian))[0]
+        result = compare(problem, [N], threshold=0.01).results[N]
+        traj = result.trajectory
+        assert traj.final.k == 60
+        expected = steps_to_threshold(traj, ground, 0.01)
+        assert expected is not None
+        assert result.steps_to_threshold == expected
 
     def test_geometry_aware_kinds_converge_first(self):
         report = compare(load_preset("qubit-a"), [V, N, I], threshold=0.01)
@@ -274,22 +285,22 @@ class TestCompare:
     @pytest.mark.parametrize("eta", [0.05, 0.025])
     def test_qubit_orderings_stable_in_learning_rate(self, eta):
         p = load_preset("qubit-a")
-        report = compare(p, [V, N, I], threshold=0.01, schedule=ConstantRate(eta))
+        report = compare(dataclasses.replace(p, eta=eta), [V, N, I], threshold=0.01)
         hits = {k: r.steps_to_threshold for k, r in report.results.items()}
         assert hits[N] < hits[V] and hits[I] < hits[V]
         p = load_preset("qubit-b")
-        report = compare(p, [V, N, I], threshold=0.01, schedule=ConstantRate(eta))
+        report = compare(dataclasses.replace(p, eta=eta), [V, N, I], threshold=0.01)
         hits = {k: r.steps_to_threshold for k, r in report.results.items()}
         assert hits[N] < hits[V] and hits[N] < hits[I]
 
     @pytest.mark.parametrize("eta", [0.05, 0.025])
     def test_h2_orderings_stable_in_learning_rate(self, eta):
-        report = compare(load_preset("h2-a"), [V, N], threshold=0.01,
-                         schedule=ConstantRate(eta), max_steps=2000)
+        report = compare(dataclasses.replace(load_preset("h2-a"), eta=eta), [V, N],
+                         threshold=0.01, max_steps=2000)
         hits = {k: r.steps_to_threshold for k, r in report.results.items()}
         assert hits[N] < hits[V]
-        report = compare(load_preset("h2-plateau"), [V, N], threshold=0.05,
-                         schedule=ConstantRate(eta), max_steps=1500)
+        report = compare(dataclasses.replace(load_preset("h2-plateau"), eta=eta), [V, N],
+                         threshold=0.05, max_steps=1500)
         hits = {k: r.steps_to_threshold for k, r in report.results.items()}
         assert hits[N] < hits[V]
 
@@ -325,9 +336,7 @@ def test_readme_steps_to_threshold_table():
     spec.loader.exec_module(script)
     observed = {}
     for name, kinds in script.CASES.items():
-        preset = load_preset(name)
-        report = compare(preset, kinds, threshold=script.THRESHOLDS[name],
-                         schedule=ConstantRate(preset.eta), policy=DEFAULT_POLICY)
+        report = compare(load_preset(name), kinds, threshold=script.THRESHOLDS[name])
         for kind, result in report.results.items():
             observed[name, kind.value] = result.steps_to_threshold
     assert observed == readme_table()

@@ -209,6 +209,15 @@ class TestMetricFor:
         circ, h = single_qubit
         assert metric_for(OptimizerKind.VANILLA, h, circ, [0.4, 0.2]) is None
 
+    @pytest.mark.parametrize("kind", ["natural", "vanilla", None])
+    def test_a_kind_that_is_not_an_optimizer_kind_is_rejected(self, kind):
+        # "natural" used to run the classical Fisher rule, which metric_for fell through to
+        p = load_preset("h2-a")
+        with pytest.raises(TypeError, match="kind must be an OptimizerKind"):
+            metric_for(kind, p.hamiltonian, p.circuit, p.theta0)
+        with pytest.raises(TypeError, match="kind must be an OptimizerKind"):
+            run(kind, p.hamiltonian, p.circuit, p.theta0, ConstantRate(p.eta), max_steps=1)
+
 
 class TestSchedules:
     def test_constant(self):
