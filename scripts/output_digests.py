@@ -204,6 +204,8 @@ def _bad_configs() -> dict[str, object]:
     huge = 10 ** 400  # an integer past the float range
     huge_matrix = [[list(v) for v in row] for row in matrix]
     huge_matrix[1][2][0] = huge
+    nan_matrix, inf_matrix = ([[list(v) for v in row] for row in matrix] for _ in range(2))
+    nan_matrix[1][2][0], inf_matrix[1][2][0] = float("nan"), float("inf")
     missing = dict(good)
     del missing["theta0"]
     no_matrix, no_targets = with_gate(3), with_gate(0)
@@ -225,6 +227,9 @@ def _bad_configs() -> dict[str, object]:
         "huge-theta0-entry": dict(good, theta0=[0.3, huge, 1.1, 0.25]),
         "huge-coefficient": dict(good, hamiltonian=[[huge, "ZI"], [-0.3, "IX"]]),
         "huge-matrix-entry": with_gate(3, matrix=huge_matrix),
+        # older trees exit 0 on these, with a nan energy
+        "unitary-nan-entry": with_gate(3, matrix=nan_matrix),
+        "unitary-infinite-entry": with_gate(3, matrix=inf_matrix),
         "5000-digit-literal": json.dumps(good).replace('"eta": 0.07', '"eta": 1' + "0" * 4999),
         "not-utf-8": b'{"eta": "\xff"}',
         # no larger: older trees build a set of every slot number below it

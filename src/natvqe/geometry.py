@@ -70,12 +70,12 @@ class MetricMatrix:
             raise ValueError("metric must be a square matrix")
         if vals.shape[0] == 0:
             raise ValueError("metric is empty: the circuit has no parameters")
-        if abs(vals - vals.T).max() > SYMMETRY_TOL:
+        if not abs(vals - vals.T).max() <= SYMMETRY_TOL:  # NaN fails
             raise ValueError("metric must be symmetric")
         eigs = np.linalg.eigvalsh(vals)
         lowest, highest = float(eigs[0]), float(eigs[-1])
         # tolerance scales with the matrix so near-divergent classical metrics validate
-        if lowest < -PSD_TOL * max(1.0, highest):
+        if not lowest >= -PSD_TOL * max(1.0, highest):
             raise ValueError(f"metric is not positive semidefinite (min eig {lowest:.3e})")
         vals = np.array(vals, copy=True)
         vals.setflags(write=False)

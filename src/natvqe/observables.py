@@ -80,9 +80,15 @@ def dense_matrix(hamiltonian: PauliHamiltonian) -> np.ndarray:
     return total
 
 
-def _real_expectation(vec: np.ndarray, matvec: np.ndarray) -> float:
+@lru_cache(maxsize=128)
+def _imag_tol(hamiltonian: PauliHamiltonian) -> float:
+    """ENERGY_IMAG_TOL times max(1, sum |c_k|): the round-off grows with ||H|| <= sum |c_k|."""
+    return ENERGY_IMAG_TOL * max(1.0, sum(abs(coeff) for coeff, _ in hamiltonian.terms))
+
+
+def _real_expectation(vec: np.ndarray, matvec: np.ndarray, tol: float) -> float:
     value = complex(np.vdot(vec, matvec))
-    if abs(value.imag) >= ENERGY_IMAG_TOL:
+    if abs(value.imag) >= tol:
         raise ArithmeticError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
 
@@ -94,7 +100,7 @@ def energy(hamiltonian: PauliHamiltonian, state: np.ndarray) -> float:
         raise ValueError(
             f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has shape {vec.shape}"
         )
-    return _real_expectation(vec, dense_matrix(hamiltonian) @ vec)
+    return _real_expectation(vec, dense_matrix(hamiltonian) @ vec, _imag_tol(hamiltonian))
 
 
 def energy_and_gradient(
@@ -111,7 +117,7 @@ def energy_and_gradient(
         )
     phi, tangents = state_and_tangents(circ, theta)
     hphi = dense_matrix(hamiltonian) @ phi
-    value = _real_expectation(phi, hphi)
+    value = _real_expectation(phi, hphi, _imag_tol(hamiltonian))
     grad = 2.0 * (tangents.conj() @ hphi).real
     return value, grad
 
@@ -143,7 +149,7 @@ class SpectralDecomposition:
         vals = np.array(self.eigenvalues, dtype=float)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d array")
-        if np.any(np.diff(vals) <= 0):
+        if not np.all(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be strictly ascending")
         starts = np.array(self.starts, dtype=np.intp)
         basis = np.array(self.basis, dtype=complex)
@@ -152,7 +158,7 @@ class SpectralDecomposition:
         dim = len(basis)
         if basis.shape != (dim, dim) or starts[-1] >= dim:
             raise ValueError("basis must be square with one column block per eigenvalue")
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(dim))) > 1e-10 / dim:
+        if not np.max(np.abs(basis.conj().T @ basis - np.eye(dim))) <= 1e-10 / dim:
             raise ValueError("basis is not orthonormal")
         for arr in (vals, starts, basis):
             arr.setflags(write=False)
@@ -193,9 +199,9 @@ def outcome_distribution(decomposition: SpectralDecomposition, state: np.ndarray
     if vec.shape != (len(decomposition.basis),):
         raise ValueError("decomposition and state dimensions do not match")
     p = decomposition.expand(vec)[1]
-    if np.any(p < -1e-10) or np.any(p > 1.0 + 1e-10):
+    if not (p.min() >= -1e-10 and p.max() <= 1.0 + 1e-10):
         raise ValueError("probabilities must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > 1e-10:
+    if not abs(p.sum() - 1.0) <= 1e-10:
         raise ValueError("probabilities must sum to 1")
     p = np.clip(p, 0.0, 1.0)
     p.setflags(write=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -74,33 +74,32 @@ def metric_for(
     raise TypeError(f"kind must be an OptimizerKind, got {kind!r}")
 
 
-def _require_positive(name: str, value: float) -> None:
-    # bounded by the largest float, not inf: an int past the float range overflows later
-    if not (0.0 < value <= sys.float_info.max):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+class _PositiveSetting:
+    """Base of a frozen setting whose one field must be a positive, finite number."""
+
+    def __post_init__(self) -> None:
+        (spec,) = fields(self)
+        value = getattr(self, spec.name)
+        # bounded by the largest float, not inf: an int past the float range overflows later
+        if not (0.0 < value <= sys.float_info.max):
+            raise ValueError(f"{spec.name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(_PositiveSetting):
     """Fixed learning rate eta_k = eta."""
 
     eta: float
-
-    def __post_init__(self) -> None:
-        _require_positive("eta", self.eta)
 
     def at(self, k: int) -> float:
         return self.eta
 
 
 @dataclass(frozen=True)
-class InverseStepRate:
+class InverseStepRate(_PositiveSetting):
     """Decaying learning rate eta_k = c / k for k >= 1."""
 
     c: float
-
-    def __post_init__(self) -> None:
-        _require_positive("c", self.c)
 
     def at(self, k: int) -> float:
         return self.c / k
@@ -110,33 +109,24 @@ LearningRateSchedule = ConstantRate | InverseStepRate
 
 
 @dataclass(frozen=True)
-class Tikhonov:
+class Tikhonov(_PositiveSetting):
     """Solve (M + epsilon*I) x = g."""
 
     epsilon: float
 
-    def __post_init__(self) -> None:
-        _require_positive("epsilon", self.epsilon)
-
 
 @dataclass(frozen=True)
-class EigenFloor:
+class EigenFloor(_PositiveSetting):
     """Invert after lifting every eigenvalue of M to at least epsilon."""
 
     epsilon: float
 
-    def __post_init__(self) -> None:
-        _require_positive("epsilon", self.epsilon)
-
 
 @dataclass(frozen=True)
-class PseudoInverse:
+class PseudoInverse(_PositiveSetting):
     """Invert on the span of eigenpairs with eigenvalue > 0 and >= cut * max_eigenvalue."""
 
     cut: float
-
-    def __post_init__(self) -> None:
-        _require_positive("cut", self.cut)
 
 
 RegularizationPolicy = Tikhonov | EigenFloor | PseudoInverse

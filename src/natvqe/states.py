@@ -6,21 +6,22 @@ significant bit of the amplitude index, so a two-qubit product state is
 parametrized gate carries its generator, and one forward sweep accumulates
 d|phi>/d(theta_i) for all parameters simultaneously via the product rule.
 
-Each circuit compiles its sweep once, at construction.  The batch of the
-state and its m tangents is a ``(m+1, 2**n)`` array whose columns hold the
+Each circuit compiles its sweep once, at construction.  The batch of the state
+and its m tangents is a ``(m+1, 2**n)`` array whose columns hold the
 amplitudes in a layout the compiler tracks.  A CNOT permutes basis states, so
 it only relabels that layout and costs nothing at run time.  Every other gate
-is one step: an optional precomputed gather of the columns that puts the
-gate's targets last, in listed order, then one ``np.dot`` of the batch, viewed
-as ``(rows * 2**(n-k), 2**k)``, by ``U.T``; a final gather restores the
-natural amplitude order.  Those are the operands, in the same layout, that
-``np.tensordot`` builds, so every amplitude equals that of a tensordot sweep
-bit for bit (a CNOT contracted by tensordot may flip the sign of a zero).  The
-kernel replays tensordot's arithmetic on purpose: at the ``h2-plateau`` start
-three of the four gradient components are round-off (1e-17 to 1e-16), so
-round-off seeds the plateau escape.  An ``einsum`` sweep, which differs from
-this one only in the last bit of some amplitudes, takes 450 natural-gradient
-steps to escape instead of the 487 that tensordot's arithmetic gives.
+is one step: an optional precomputed gather, one flat index into the batch,
+that puts the gate's targets last, in listed order, then one ``np.dot`` of the
+batch, viewed as ``(rows * 2**(n-k), 2**k)``, by ``U.T``; a final gather
+restores the natural amplitude order.  Those are the operands, in the same
+layout, that ``np.tensordot`` builds, so every amplitude equals that of a
+tensordot sweep bit for bit (a CNOT contracted by tensordot may flip the sign
+of a zero).  The kernel replays tensordot's arithmetic on purpose: at the
+``h2-plateau`` start three of the four gradient components are round-off
+(1e-17 to 1e-16), so round-off seeds the plateau escape.  An ``einsum`` sweep,
+which differs from this one only in the last bit of some amplitudes, takes 450
+natural-gradient steps to escape instead of the 487 that tensordot's
+arithmetic gives.
 
 Tangent row i is exactly zero until the first gate of slot i, so a step
 multiplies only a prefix of the batch: the state row, every tangent row up to
@@ -127,8 +128,9 @@ class Gate:
         dim = 2 ** len(self.targets)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not fit {len(self.targets)} qubit(s)")
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(dim))) > 1e-12:
-            raise ValueError("matrix is not unitary")
+        with np.errstate(invalid="ignore"):  # a NaN or infinite entry fails the check
+            if not np.max(np.abs(mat @ mat.conj().T - np.eye(dim))) <= 1e-12:
+                raise ValueError("matrix is not unitary")
         object.__setattr__(self, "matrix", _frozen(mat))
 
 
@@ -164,10 +166,10 @@ class AnsatzCircuit:
     up to the highest slot opened so far and one stand-in zero row, at most
     m + 1 rows.  The stand-in has gone through every gate so far, so it holds
     the zeros, signs included, that the rows not yet reached hold in a
-    full-batch sweep; a step that opens a slot beyond the batch copies it
-    into the new rows with its gather, before its dot.  A batch short of
-    m + 1 rows has at least two, so BLAS gives each row the bits it has in
-    the full batch.
+    full-batch sweep; a step that opens a slot beyond the batch copies it into
+    the new rows with its gather, before its dot.  Every gather is one flat
+    index into the batch.  A batch short of m + 1 rows has at least two, so
+    BLAS gives each row the bits it has in the full batch.
     ``_memo`` holds the last ``state_and_tangents`` result as
     ``(theta bytes, phi, tangents)``.
     """
@@ -235,13 +237,17 @@ def _unitaries(theta: np.ndarray, slots: np.ndarray, rotations: bool, phases: bo
     return unitaries.transpose(0, 2, 1), np.matmul(generators, unitaries).transpose(0, 2, 1)
 
 
-def _gather(held: np.ndarray, want: np.ndarray) -> np.ndarray | None:
-    """The column index that turns layout ``held`` into ``want``, or None if they agree."""
+def _gather(held: np.ndarray, want: np.ndarray, rows: int, grown: int) -> np.ndarray | None:
+    """The flat index from ``rows`` rows in layout ``held`` to ``grown`` rows in ``want``.
+
+    Row r is row min(r, rows - 1), so new rows copy the stand-in.  None if it changes nothing.
+    """
     column = np.empty_like(held)
     column[held] = np.arange(held.size)
-    index = column[want]
-    if np.array_equal(index, np.arange(index.size)):
+    columns = column[want]
+    if grown == rows and np.array_equal(columns, np.arange(columns.size)):
         return None
+    index = np.minimum(np.arange(grown), rows - 1)[:, None] * held.size + columns
     index.setflags(write=False)
     return index
 
@@ -271,14 +277,12 @@ def _compile(gates: tuple[Gate, ...], n: int, m: int) -> tuple:
 
     ``held[j]`` is the amplitude column j holds.  A CNOT flips the target bit
     of every held index whose control bit is set.  Any other gate is a step
-    ``(gather, axis, index, matrix, offset)``, where ``out[:, j] =
-    in[:, gather[j]]`` (``axis`` 1) puts the other qubits first, in natural
-    order, and the targets last, in listed order.  A gate that opens a slot
-    beyond the batch gathers the flattened batch instead (``axis`` None): row
-    r of its result is that column gather of row min(r, rows - 1), so the new
-    rows are copies of the stand-in.  A fixed gate carries its ``matrix``,
-    transposed.  The parametrized gate number ``index`` adds its pushed state
-    row at flat row ``offset``.
+    ``(gather, index, matrix, offset)``, where ``gather`` (see ``_gather``)
+    indexes the flattened batch: it puts the other qubits first, in natural
+    order, and the targets last, in listed order, and a gate that opens a slot
+    beyond the batch also copies the stand-in into the new rows.  A fixed gate
+    carries its ``matrix``, transposed.  The parametrized gate number
+    ``index`` adds its pushed state row at flat row ``offset``.
     """
     dim = 2 ** n
     held = natural = np.arange(dim)
@@ -295,22 +299,16 @@ def _compile(gates: tuple[Gate, ...], n: int, m: int) -> tuple:
             continue
         order = [q for q in range(n) if q not in gate.targets] + list(gate.targets)
         want = natural.reshape((2,) * n).transpose(order).ravel()
-        gather, axis = _gather(held, want), 1
         if gate.kind in _PARAMETRIZED:
-            grown = min(gate.param_index + 3, m + 1)
-            if grown > rows:
-                columns = natural if gather is None else gather
-                gather = np.minimum(np.arange(grown), rows - 1)[:, None] * dim + columns
-                gather.setflags(write=False)
-                axis, rows = None, grown
+            grown = max(rows, min(gate.param_index + 3, m + 1))
             step = (index, None, (1 + gate.param_index) * half)
             index += 1
         else:
-            step = (None, gate.matrix.T, None)
-        steps.append((gather, axis, *step))
-        held = want
+            grown, step = rows, (None, gate.matrix.T, None)
+        steps.append((_gather(held, want, rows, grown), *step))
+        held, rows = want, grown
     unitary_plan = _unitary_plan([g for g in gates if g.kind in _PARAMETRIZED])
-    return tuple(steps), _gather(held, natural), start, unitary_plan
+    return tuple(steps), _gather(held, natural, rows, rows), start, unitary_plan
 
 
 def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -336,9 +334,9 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     dim = batch.shape[1]
     half = dim // 2
     unitaries, derivatives = _unitaries(theta, *unitary_plan)
-    for gather, axis, index, matrix, offset in steps:
+    for gather, index, matrix, offset in steps:
         if gather is not None:
-            batch = batch.take(gather, axis=axis)
+            batch = batch.take(gather)
         if matrix is not None:
             batch = np.dot(batch.reshape(-1, len(matrix)), matrix).reshape(-1, dim)
             continue
@@ -347,7 +345,7 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
         flat = np.dot(flat, unitaries[index])
         flat[offset:offset + half] += pushed
         batch = flat.reshape(-1, dim)
-    flat = batch if restore is None else batch.take(restore, axis=1)
+    flat = batch if restore is None else batch.take(restore)
     flat.setflags(write=False)
     phi, tangents = flat[0], flat[1:]
     object.__setattr__(circ, "_memo", (key, phi, tangents))

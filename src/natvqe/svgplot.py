@@ -32,6 +32,11 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
+def _escape(text: str) -> str:
+    # what xml.sax.saxutils.escape does, without importing urllib and http through it
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_plot(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     *,
@@ -68,7 +73,7 @@ def line_plot(
     if title:
         out.append(
             f'<text x="{WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
     for x in _ticks(x_lo, x_hi):
         px = sx(x)
@@ -92,13 +97,13 @@ def line_plot(
     if xlabel:
         out.append(
             f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
         )
     if ylabel:
         out.append(
             f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -122,7 +127,7 @@ def line_plot(
             f'stroke="{color}" stroke-width="2"/>'
         )
         out.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">{label}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" font-size="12">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,11 @@ class TestRunCommand:
         ([], {"hamiltonian": [[10 ** 400, "ZI"], [0.4, "IZ"], [0.2, "XX"]]}),
         ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
                                        "matrix": [[[0, 0], [10 ** 400, 0]], [[1, 0], [0, 0]]]})}),
+        # NaN failed every tolerance check, so the run exited 0 with a nan energy
+        ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
+                                       "matrix": [[[0, 0], [np.nan, 0]], [[1, 0], [0, 0]]]})}),
+        ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
+                                       "matrix": [[[0, 0], [np.inf, 0]], [[1, 0], [0, 0]]]})}),
         # a bad config value used to pass unchecked when a flag overrode it
         (["--steps", "5"], {"max_steps": 0}),
         (["--steps", "5"], {"max_steps": -7}),
@@ -241,7 +247,8 @@ class TestRunCommand:
             "config-param-index-fraction", "config-param-index-bool", "config-coefficient-text",
             "config-coefficient-bool", "config-matrix-entry-text", "config-matrix-entry-bool",
             "config-eta-huge", "config-max-steps-huge", "config-theta0-huge",
-            "config-coefficient-huge", "config-matrix-entry-huge",
+            "config-coefficient-huge", "config-matrix-entry-huge", "config-matrix-entry-nan",
+            "config-matrix-entry-inf",
             "config-max-steps-0-steps-flag", "config-max-steps-negative-steps-flag",
             "config-eta-negative-eta-flag", "config-eta-0-eta-flag", "config-both-both-flags"])
     def test_bad_setting_is_config_error_and_writes_nothing(self, tmp_path, flags, fields):
@@ -535,6 +542,12 @@ class TestPlotCommand:
         assert svg.count("<polyline") == 3
         for label in ("qubit-a_vanilla", "qubit-a_natural", "qubit-a_ite"):
             assert label in svg
+        # markup characters in a title or a series label are escaped
+        odd = tmp_path / "R&D.csv"
+        odd.write_bytes(Path(qubit_csvs[0]).read_bytes())
+        assert main(["plot", str(odd), "--title", "E<0 runs", "--out", str(out)]) == 0
+        texts = [node.text for node in ET.fromstring(out.read_text()).iter()]
+        assert "E<0 runs" in texts and "R&D" in texts
 
     def test_path_plot(self, qubit_csvs, tmp_path):
         out = tmp_path / "path.svg"

@@ -369,10 +369,16 @@ class TestMetricMatrixValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             MetricMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            MetricMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
-    def test_indefinite_rejected(self):
+    def test_indefinite_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="semidefinite"):
             MetricMatrix(np.diag([1.0, -0.5]))
+        # a non-finite entry fails the symmetry check first, so feign a NaN spectrum
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda vals: np.full(len(vals), np.nan))
+        with pytest.raises(ValueError, match="semidefinite"):
+            MetricMatrix(np.eye(2))
 
     def test_eigenvalues_from_validation(self, h2_problem):
         circ, _ = h2_problem

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from natvqe import build_state, energy, energy_and_gradient, pauli_sum, spectral_decompose
+from natvqe import (build_state, circuit, cnot, energy, energy_and_gradient, pauli_sum, phase, ry,
+                    spectral_decompose)
 from natvqe.experiments import (
     h2_hamiltonian,
     hardware_efficient_ansatz,
@@ -99,6 +100,17 @@ class TestEnergyGradient:
             oracle = finite_difference_gradient(h, circ, theta)
             assert np.max(np.abs(grad - oracle)) < 1e-8
 
+    @pytest.mark.parametrize("scale", [1e7, 1e9])
+    def test_imaginary_residue_tolerance_follows_the_coefficients(self, scale):
+        # the round-off in <phi|H|phi> grows with H; a fixed 1e-10 refused these points
+        circ = circuit(2, [ry(0, 0), phase(0, 1), ry(1, 2), phase(1, 3), cnot(0, 1),
+                           ry(0, 4), phase(1, 5)])
+        terms = [(0.4, "YI"), (0.3, "XY"), (0.2, "ZZ"), (-0.5, "YY")]
+        h = pauli_sum(2, [(scale * c, label) for c, label in terms])
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            energy_and_gradient(h, circ, rng.uniform(-np.pi, np.pi, circ.n_params))
+
 
 class TestSpectralDecomposition:
     def test_sigma_x(self):
@@ -159,7 +171,7 @@ class TestSpectralDecompositionValidation:
         np.testing.assert_array_equal(projs[0], np.diag([1.0, 1.0, 0.0]))
         np.testing.assert_array_equal(projs[1], np.diag([0.0, 0.0, 1.0]))
 
-    @pytest.mark.parametrize("eigenvalues", [[1.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
+    @pytest.mark.parametrize("eigenvalues", [[1.0, 0.0, 2.0], [0.0, 0.0, 2.0], [0.0, np.nan, 2.0]])
     def test_eigenvalues_must_ascend(self, eigenvalues):
         with pytest.raises(ValueError, match="ascending"):
             SpectralDecomposition(eigenvalues, np.eye(3), [0, 1, 2])
@@ -193,6 +205,10 @@ class TestSpectralDecompositionValidation:
         assert accepted.basis.shape == (dim, dim)
         with pytest.raises(ValueError, match="orthonormal"):
             SpectralDecomposition(eigenvalues, skewed_basis(dim, 1.01 * tol, overlap), starts)
+        nan_basis = skewed_basis(dim, 0.0, overlap)
+        nan_basis[0, 0] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            SpectralDecomposition(eigenvalues, nan_basis, starts)
 
 
 class TestOutcomeDistribution:
@@ -225,6 +241,8 @@ class TestOutcomeDistribution:
         _, h = single_qubit
         with pytest.raises(ValueError, match="sum to 1"):
             outcome_distribution(spectral_decompose(h), np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            outcome_distribution(spectral_decompose(h), np.array([np.nan, 0.0]))
 
     @pytest.mark.parametrize("state", [np.array([1.0, 0.0]), np.eye(2), np.ones((4, 1)), np.ones(8)],
                              ids=["1-qubit", "matrix", "column", "3-qubit"])

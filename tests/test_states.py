@@ -130,8 +130,9 @@ class TestCircuitValidation:
             Gate(GateKind.RY, (0,))
 
     def test_non_unitary_matrix_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            fixed_unitary(np.array([[1, 1], [0, 1]], dtype=complex), 0)
+        for entry in (1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="unitary"):
+                fixed_unitary(np.array([[1, entry], [0, 1]], dtype=complex), 0)
 
     def test_unused_parameter_slot_rejected(self):
         with pytest.raises(ValueError, match="never used"):
