@@ -12,13 +12,15 @@ presets  list built-in preset names
 Exit codes: 0 success, 2 configuration error, 3 runtime/output error.
 
 A config file holds one JSON problem document, in the schema that
-``natvqe.experiments.Problem`` documents; a ``--format json`` file echoes the
-problem in that schema.  The fields of ``optimizers.TrajectoryStep`` are the
-one schema of a trajectory record: the CSV columns are ``step``, then
-``theta_1..theta_m``, then the remaining fields in order, and a JSON step
-object has the same fields as keys.  Numbers are written in shortest
-round-trip form, so files are byte-stable and parse back to the exact
-in-memory values.
+``natvqe.experiments.Problem`` documents.  A ``--format json`` file's
+``config`` is the ``Problem.to_json()`` of the problem that ran, ``--eta`` and
+``--steps`` included, plus the settings a Problem does not hold: ``preset``,
+``optimizer``, ``schedule`` (its kind), ``regularization`` and ``grad_tol``.
+The fields of ``optimizers.TrajectoryStep`` are the one schema of a trajectory
+record: the CSV columns are ``step``, then ``theta_1..theta_m``, then the
+remaining fields in order, and a JSON step object has the same fields as keys.
+Numbers are written in shortest round-trip form, so files are byte-stable and
+parse back to the exact in-memory values.
 """
 from __future__ import annotations
 
@@ -27,14 +29,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_preset
-from .geometry import DEFAULT_RANK_TOL, MetricMatrix, check_rank_tol, singularity_report
+from .geometry import DEFAULT_RANK_TOL, MetricMatrix, check_tolerance, singularity_report
 from .optimizers import (
     DEFAULT_POLICY,
     ConstantRate,
@@ -129,6 +131,14 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with its newlines kept; an OSError names the path."""
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # trajectory serialization
 
@@ -204,6 +214,7 @@ def cmd_run(args) -> int:
         check_limits(max_steps, args.grad_tol)
         schedule = _SCHEDULES[args.schedule](eta)
         policy = _POLICIES[args.regularization](args.reg_epsilon)
+        problem = replace(problem, eta=eta, max_steps=max_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -211,34 +222,23 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise OSError(f"cannot create output directory: {exc}") from exc
 
-    # the problem's document with the settings of this run; eta is the schedule's
+    # the problem that ran, plus the settings a Problem does not hold
     config_echo = problem.to_json()
-    del config_echo["eta"]
     config_echo.update(
         preset=args.preset,
-        schedule={"kind": args.schedule, "eta": eta},
+        schedule=args.schedule,
         regularization={"kind": args.regularization, "epsilon": args.reg_epsilon},
-        max_steps=max_steps,
         grad_tol=args.grad_tol,
     )
     for kind in kinds:
         trajectory = run(kind, problem.hamiltonian, problem.circuit, problem.theta0, schedule,
-                         policy, max_steps=max_steps, grad_tol=args.grad_tol)
+                         policy, max_steps=problem.max_steps, grad_tol=args.grad_tol)
         config_echo["optimizer"] = kind.value
         path = out_dir / f"{problem.name}_{kind.value}.{args.format}"
-        text = (
-            trajectory_to_json(trajectory, config_echo)
-            if args.format == "json"
-            else trajectory_to_csv(trajectory)
-        )
-        try:
-            path.write_text(text, encoding="utf-8", newline="")
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+        _write_text(path, trajectory_to_json(trajectory, config_echo)
+                    if args.format == "json" else trajectory_to_csv(trajectory))
         final = trajectory.final
         print(f"{path}  steps={final.k}  final_energy={final.energy!r}  "
               f"terminal={trajectory.terminal_reason.value}")
@@ -274,7 +274,7 @@ def cmd_metric(args) -> int:
     circ = problem.circuit
     theta = _parse_theta(args.theta, circ) if args.theta else problem.theta0
     try:
-        check_rank_tol(args.rank_tol)
+        check_tolerance(args.rank_tol, "rank_tol")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     wanted = _METRIC_NAMES.values() if args.kind == "all" else (_METRIC_NAMES[args.kind],)
@@ -296,20 +296,13 @@ def cmd_plot(args) -> int:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         named_steps.append((Path(path).stem, parse_trajectory_csv(text)[0]))
 
     if args.path and any(len(steps[0].theta) != 2 for _, steps in named_steps):
-        print("error: path plot requires 2 parameters", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("path plot requires 2 parameters")
     title = args.title or ("parameter path" if args.path else "energy per iteration")
-    svg = trajectory_plot(named_steps, title, path=args.path)
-    try:
-        Path(args.out).write_text(svg, encoding="utf-8", newline="")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    _write_text(args.out, trajectory_plot(named_steps, title, path=args.path))
     print(args.out)
     return EXIT_OK
 
@@ -386,12 +379,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

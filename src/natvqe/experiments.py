@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .geometry import check_tolerance
 from .observables import PauliHamiltonian, dense_matrix, pauli_sum
 from .optimizers import (
     DEFAULT_POLICY,
@@ -271,8 +272,9 @@ def compare(
     max_steps: int | None = None,
 ) -> ComparisonReport:
     """Run each optimizer on any problem at its constant rate ``eta`` under one policy and
-    count its steps to within ``threshold`` of the problem's ground energy; to run it
-    at another rate, pass ``dataclasses.replace(problem, eta=...)``."""
+    count its steps to within ``threshold`` (finite, >= 0) of the problem's ground energy;
+    to run it at another rate, pass ``dataclasses.replace(problem, eta=...)``."""
+    check_tolerance(threshold, "threshold")
     schedule = ConstantRate(problem.eta)
     limit = max_steps if max_steps is not None else problem.max_steps
     reference = problem.reference_energy

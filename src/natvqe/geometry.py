@@ -34,7 +34,7 @@ from .states import AnsatzCircuit, state_and_tangents
 __all__ = [
     "MetricMatrix",
     "SingularityReport",
-    "check_rank_tol",
+    "check_tolerance",
     "MetricUndefinedError",
     "fubini_study_metric",
     "ite_matrix",
@@ -150,19 +150,19 @@ class SingularityReport:
     is_singular: bool
 
 
-def check_rank_tol(rank_tol: float) -> None:
-    """Raise unless ``rank_tol`` is non-negative and finite."""
+def check_tolerance(value: float, name: str) -> None:
+    """Raise unless the tolerance ``value``, named ``name`` in the message, is finite and >= 0."""
     # bounded by the largest float, not inf: an int past the float range overflows later
-    if not (0.0 <= rank_tol <= sys.float_info.max):
-        raise ValueError(f"rank_tol must be finite and non-negative, got {rank_tol}")
+    if not (0.0 <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def singularity_report(metric: MetricMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SingularityReport:
     """Determinant, smallest eigenvalue, and rank at ``rank_tol`` (relative to the largest eigenvalue).
 
-    ``rank_tol`` must pass ``check_rank_tol``.
+    ``rank_tol`` must pass ``check_tolerance``.
     """
-    check_rank_tol(rank_tol)
+    check_tolerance(rank_tol, "rank_tol")
     eigs = metric.eigenvalues
     scale = max(float(eigs[-1]), 0.0)
     rank = int(np.count_nonzero(eigs > rank_tol * scale)) if scale > 0.0 else 0
@@ -183,7 +183,7 @@ def entanglement_entropy(state: np.ndarray) -> float:
     amps = np.asarray(state, dtype=complex)
     if amps.shape != (4,):
         raise ValueError("entanglement entropy is defined here for exactly 2 qubits")
-    if abs(np.vdot(amps, amps).real - 1.0) > 1e-10:
+    if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # NaN fails
         raise ValueError("state must be normalized")
     singular = np.linalg.svd(amps.reshape(2, 2), compute_uv=False)
     lam = np.clip(singular ** 2, 0.0, 1.0)

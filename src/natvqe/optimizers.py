@@ -22,7 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MetricMatrix, classical_fisher_metric, fubini_study_metric, ite_matrix
+from .geometry import (
+    MetricMatrix,
+    check_tolerance,
+    classical_fisher_metric,
+    fubini_study_metric,
+    ite_matrix,
+)
 from .observables import PauliHamiltonian, energy_and_gradient, spectral_decompose
 from .states import AnsatzCircuit, check_parameters
 
@@ -173,28 +179,27 @@ class Trajectory:
 def solve_regularized(
     metric: MetricMatrix, grad: Sequence[float], policy: RegularizationPolicy
 ) -> np.ndarray:
-    """Solve M x = g through a regularization policy, guarding singular M."""
-    m = metric.values
+    """Solve M x = g through a regularization policy, guarding singular M: every
+    policy is a divisor d of M's eigenvalues w, and x = V (V^T g / d) for M = V diag(w) V^T."""
     g = np.asarray(grad, dtype=float)
     if g.shape != (metric.dim,):
         raise ValueError(f"gradient shape {g.shape} does not match metric dim {metric.dim}")
+    w, v = np.linalg.eigh(metric.values)
     if isinstance(policy, Tikhonov):
-        x = np.linalg.solve(m + policy.epsilon * np.eye(metric.dim), g)
+        d = w + policy.epsilon
+    elif isinstance(policy, EigenFloor):
+        d = np.maximum(w, policy.epsilon)
     else:
-        w, v = np.linalg.eigh(m)
-        if isinstance(policy, EigenFloor):
-            x = v @ ((v.T @ g) / np.maximum(w, policy.epsilon))
-        else:
-            # a metric with no positive eigenvalue has pseudo-inverse 0: a zero step
-            keep = (w > 0.0) & (w >= policy.cut * w[-1])
-            x = v[:, keep] @ ((v[:, keep].T @ g) / w[keep])
+        # a dropped eigenpair divides by inf: with no positive eigenvalue the step is zero
+        d = np.where((w > 0.0) & (w >= policy.cut * w[-1]), w, np.inf)
+    x = v @ ((v.T @ g) / d)
     if not np.isfinite(x).all():
         raise ArithmeticError("regularized solve produced non-finite values")
     return x
 
 
 def check_limits(max_steps: int, grad_tol: float = 0.0) -> None:
-    """Raise unless ``max_steps`` is whole in [1, MAX_STEPS] and ``grad_tol`` finite and >= 0."""
+    """Raise unless ``max_steps`` is whole in [1, MAX_STEPS] and ``grad_tol`` a tolerance."""
     # compared, not math.isfinite: that overflows on an int past the float range
     if not (-math.inf < max_steps < math.inf and max_steps == int(max_steps)):
         raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
@@ -202,8 +207,7 @@ def check_limits(max_steps: int, grad_tol: float = 0.0) -> None:
         raise ValueError("max_steps must be at least 1")
     if max_steps > MAX_STEPS:
         raise ValueError(f"max_steps must be at most {MAX_STEPS}")
-    if not (0.0 <= grad_tol < math.inf):
-        raise ValueError(f"grad_tol must be finite and non-negative, got {grad_tol}")
+    check_tolerance(grad_tol, "grad_tol")
 
 
 def run(

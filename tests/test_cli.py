@@ -339,6 +339,33 @@ class TestRunCommand:
             if a.matrix is not None:
                 assert a.matrix.tobytes() == b.matrix.tobytes()
 
+    @pytest.mark.parametrize("source, flags, eta, max_steps", [
+        ("h2-a", ["--eta", "0.1", "--steps", "3"], 0.1, 3),
+        ("config", [], 0.08, 40),
+        ("qubit-a", ["--schedule", "inverse", "--eta", "0.2", "--steps", "4"], 0.2, 4),
+    ], ids=["preset-overrides", "config", "inverse-schedule"])
+    def test_json_echo_rebuilds_the_problem_that_ran(self, tmp_path, source, flags, eta,
+                                                     max_steps):
+        if source == "config":
+            doc = dict(CUSTOM_CONFIG, eta=0.08)  # not 0.05, the default an echo without eta reads
+            args = ["--config", str(write_config(tmp_path, doc))]
+            ran = Problem.from_json(doc, "problem")
+        else:
+            args, ran = ["--preset", source], load_preset(source)
+        code = main(["run", *args, *flags, "--optimizer", "natural", "--format", "json",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        (path,) = (tmp_path / "out").iterdir()
+        with path.open(encoding="utf-8") as fh:
+            echoed = Problem.from_json(json.load(fh)["config"], ran.name)
+        # under --schedule inverse the echoed eta is the schedule's c
+        assert (echoed.eta, echoed.max_steps) == (eta, max_steps)
+        assert echoed.theta0 == ran.theta0
+        assert echoed.hamiltonian.terms == ran.hamiltonian.terms
+        assert echoed.circuit.n_qubits == ran.circuit.n_qubits
+        assert ([(g.kind, g.targets, g.param_index) for g in echoed.circuit.gates]
+                == [(g.kind, g.targets, g.param_index) for g in ran.circuit.gates])
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -446,18 +473,10 @@ def reference_json(trajectory, config_echo):
 
 
 def config_echo(circ, hamiltonian, theta0, preset):
+    """The ``config`` that ``natvqe run --format json`` writes: the problem plus its settings."""
     doc = Problem(preset or "echo", hamiltonian, circ, tuple(theta0), 0.05, 4).to_json()
-    return {
-        "preset": preset,
-        "hamiltonian": doc["hamiltonian"],
-        "circuit": doc["circuit"],
-        "theta0": doc["theta0"],
-        "optimizer": "natural",
-        "schedule": {"kind": "constant", "eta": 0.05},
-        "regularization": {"kind": "eigenfloor", "epsilon": 1e-10},
-        "max_steps": 4,
-        "grad_tol": 0.0,
-    }
+    return dict(doc, preset=preset, optimizer="natural", schedule="constant",
+                regularization={"kind": "eigenfloor", "epsilon": 1e-10}, grad_tol=0.0)
 
 
 def one_parameter_problem():

@@ -282,6 +282,16 @@ class TestCompare:
         assert all(s.energy > p.reference_energy + 0.01 for s in traj.steps[:k])
         assert steps_to_threshold(traj, p.reference_energy, -10.0) is None
 
+    # unchecked, NaN never counts and gives None, -1 never counts, and inf counts record 0
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+            compare(load_preset("h2-a"), [V], threshold=threshold, max_steps=5)
+
+    def test_zero_threshold_accepted(self):
+        result = compare(load_preset("h2-a"), [V], threshold=0.0, max_steps=5).results[V]
+        assert result.steps_to_threshold is None
+
     @pytest.mark.parametrize("eta", [0.05, 0.025])
     def test_qubit_orderings_stable_in_learning_rate(self, eta):
         p = load_preset("qubit-a")

@@ -312,8 +312,10 @@ class TestEntanglementEntropy:
                 entanglement_entropy(state)
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            entanglement_entropy(np.array([1, 1, 0, 0], dtype=complex))
+        # unchecked, [inf, 0, 0, 0] reads as a product state and [nan, 0, 0, 0] fails in the SVD
+        for state in ([1, 1, 0, 0], [np.inf, 0, 0, 0], [np.nan, 0, 0, 0]):
+            with pytest.raises(ValueError, match="normalized"):
+                entanglement_entropy(np.array(state, dtype=complex))
 
 
 def min_eig_of_difference(a, b):

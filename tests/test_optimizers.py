@@ -343,7 +343,8 @@ class TestRun:
         assert [s.k for s in traj.steps] == [0, 1, 2, 3]
         assert traj.terminal_reason is TerminalReason.MAX_STEPS
 
-    @pytest.mark.parametrize("grad_tol", [np.nan, -1e-3, np.inf])
+    @pytest.mark.parametrize("grad_tol", [np.nan, -1e-3, np.inf,
+                                          pytest.param(10**400, id="int-past-float-range")])
     def test_grad_tol_validated(self, single_qubit, grad_tol):
         circ, h = single_qubit
         with pytest.raises(ValueError, match="grad_tol"):

@@ -9,7 +9,9 @@ is a Rayleigh quotient of 2 (H - E0) on vectors orthogonal to phi, and lies in
 therefore contracts the energy error by (1 - 2 eta (E1 - E0))^2 per step in
 its slowest mode, and converges locally iff eta < 1 / (Emax - E0).
 Vanilla's rate depends on the Hessian at the point of the minimizing fiber
-where it lands, which depends on the ansatz.
+where it lands, which depends on the ansatz.  The gap also sets the natural
+step's escape rate from the E1 plateau, and its path follows imaginary-time
+evolution to first order in eta.
 """
 import itertools
 
@@ -133,6 +135,17 @@ def ground_state_problem(rng):
     return circ, theta, hamiltonian, energies
 
 
+def difference_hessian(hamiltonian, circ, theta, h=1e-5):
+    """The energy Hessian at theta by central differences of the exact gradient."""
+    columns = []
+    for i in range(circ.n_params):
+        step = np.zeros(circ.n_params)
+        step[i] = h
+        columns.append((energy_and_gradient(hamiltonian, circ, theta + step)[1]
+                        - energy_and_gradient(hamiltonian, circ, theta - step)[1]) / (2 * h))
+    return np.array(columns).T
+
+
 def test_natural_step_spectrum_on_random_circuits():
     rng = np.random.default_rng(7)
     checked = 0
@@ -146,14 +159,7 @@ def test_natural_step_spectrum_on_random_circuits():
         value, grad = energy_and_gradient(hamiltonian, circ, theta)
         assert value == pytest.approx(e[0], abs=1e-12)
         assert np.abs(grad).max() < 1e-12
-        h = 1e-5
-        columns = []
-        for i in range(circ.n_params):
-            step = np.zeros(circ.n_params)
-            step[i] = h
-            columns.append((energy_and_gradient(hamiltonian, circ, theta + step)[1]
-                            - energy_and_gradient(hamiltonian, circ, theta - step)[1]) / (2 * h))
-        np.testing.assert_allclose(hess, np.array(columns).T, atol=1e-6)
+        np.testing.assert_allclose(hess, difference_hessian(hamiltonian, circ, theta), atol=1e-6)
 
         metric = fubini_study_metric(circ, theta).values
         w, v = np.linalg.eigh(metric)
@@ -168,3 +174,62 @@ def test_natural_step_spectrum_on_random_circuits():
         assert eigenvalues.max() <= 2.0 * (e[-1] - e[0]) + 1e-7
         checked += 1
     assert checked >= 30
+
+
+def test_plateau_saddle_escape_rates():
+    """On h2-plateau both rules sit on the E1 plateau at step 200 and leave it at a
+    geometric rate.  Under the natural step the ground amplitude |<ground|phi>| grows
+    by 1 + 2 eta (E1 - E0) per step, set by the spectrum alone; under vanilla it grows
+    by 1 - eta lambda_min, with lambda_min the lowest eigenvalue of the energy Hessian
+    at the saddle vanilla reached, and that is faster here."""
+    problem = load_preset("h2-plateau")
+    e, vectors = np.linalg.eigh(dense_matrix(problem.hamiltonian))
+    growth, saddle = {}, {}
+    for kind in (OptimizerKind.NATURAL_FS, OptimizerKind.VANILLA):
+        traj = run(kind, problem.hamiltonian, problem.circuit, problem.theta0,
+                   ConstantRate(ETA), max_steps=400)
+        first, last = traj.steps[200], traj.steps[400]
+        assert first.energy == pytest.approx(e[1], abs=1e-5)
+        amplitude = [abs(np.vdot(vectors[:, 0], build_state(problem.circuit, s.theta)))
+                     for s in (first, last)]
+        growth[kind] = (amplitude[1] / amplitude[0]) ** (1.0 / (last.k - first.k))
+        saddle[kind] = np.array(first.theta)
+    # measured: 1.062462 for both
+    assert growth[OptimizerKind.NATURAL_FS] == pytest.approx(1.0 + 2.0 * ETA * (e[1] - e[0]),
+                                                             rel=1e-5)
+    hess = difference_hessian(problem.hamiltonian, problem.circuit, saddle[OptimizerKind.VANILLA])
+    lowest = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
+    # measured: 1.079985 against 1.07983
+    assert growth[OptimizerKind.VANILLA] == pytest.approx(1.0 - ETA * lowest, rel=1e-3)
+    assert growth[OptimizerKind.VANILLA] > growth[OptimizerKind.NATURAL_FS]
+
+
+def worst_ite_infidelity(problem, kind, eta, horizon=3.0):
+    """The largest 1 - |<psi(tau)|phi_k>|^2 over the records k with tau = 2 eta k <= horizon,
+    where psi(tau) is e^{-tau H} phi_0 normalized: the exact imaginary-time evolution."""
+    w, v = np.linalg.eigh(dense_matrix(problem.hamiltonian))
+    start = v.conj().T @ build_state(problem.circuit, problem.theta0)
+    traj = run(kind, problem.hamiltonian, problem.circuit, problem.theta0, ConstantRate(eta),
+               max_steps=int(round(horizon / (2.0 * eta))))
+    worst = 0.0
+    for s in traj.steps:
+        psi = v @ (np.exp(-2.0 * eta * s.k * w) * start)
+        overlap = np.vdot(psi / np.linalg.norm(psi), build_state(problem.circuit, s.theta))
+        worst = max(worst, 1.0 - abs(overlap) ** 2)
+    return worst
+
+
+@pytest.mark.parametrize("name", ["h2-a", "qubit-a"])
+def test_natural_gradient_follows_imaginary_time(name):
+    """The natural step at rate eta is an Euler step of imaginary-time evolution over
+    tau = 2 eta (the gradient is 2 Re<d phi|H|phi>), so its state error is O(eta) and its
+    infidelity to e^{-tau H} phi_0 falls about 4x per halving of eta; vanilla's does not."""
+    problem = load_preset(name)
+    etas = (0.05, 0.025, 0.0125, 0.00625)
+    for kind, low, high in ((OptimizerKind.NATURAL_FS, 3.5, 6.0),
+                            (OptimizerKind.VANILLA, 0.9, 1.2)):
+        worst = np.array([worst_ite_infidelity(problem, kind, eta) for eta in etas])
+        # measured natural: 4.08, 4.04, 4.02 on h2-a and 5.55, 4.70, 4.32 on qubit-a;
+        # vanilla: 0.99-1.00 and 1.01-1.06
+        factors = worst[:-1] / worst[1:]
+        assert np.all((low <= factors) & (factors <= high)), (kind, factors)
