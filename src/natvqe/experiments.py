@@ -76,8 +76,9 @@ def h2_hamiltonian(alpha: float = 0.4, beta: float = 0.2) -> PauliHamiltonian:
 class Problem:
     """A named problem instance: a Hamiltonian, an ansatz, a start and run settings.
 
-    ``theta0`` must fit the circuit, ``eta`` be positive and finite and ``max_steps``
-    a whole number from 1 to ``optimizers.MAX_STEPS``; all are checked at construction.
+    The Hamiltonian and the circuit must act on the same qubits, ``theta0`` fit the circuit,
+    ``eta`` be positive and finite and ``max_steps`` a whole number from 1 to
+    ``optimizers.MAX_STEPS`` (stored as an int); all are checked at construction.
     ``reference_energy`` is not an input: it is the Hamiltonian's ground energy,
     computed by exact diagonalization, which ``compare`` measures against.
 
@@ -110,9 +111,13 @@ class Problem:
     max_steps: int
 
     def __post_init__(self) -> None:
+        if self.hamiltonian.n_qubits != self.circuit.n_qubits:
+            raise ValueError(f"hamiltonian acts on {self.hamiltonian.n_qubits} qubit(s), "
+                             f"circuit on {self.circuit.n_qubits}")
         check_parameters(self.circuit, self.theta0)
         ConstantRate(self.eta)  # raises for a rate the schedule would not take
         check_limits(self.max_steps)
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
     @property
     def reference_energy(self) -> float:
@@ -127,10 +132,8 @@ class Problem:
             hamiltonian = _hamiltonian_from_json(doc["hamiltonian"], circ.n_qubits)
             theta0 = tuple(_json_number(x, "theta0 entry") for x in doc["theta0"])
             max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
-            if not max_steps.is_integer():  # int() would truncate 2.5 to 2
-                raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
             eta = _json_number(doc.get("eta", 0.05), "eta")
-            return cls(name, hamiltonian, circ, theta0, eta, int(max_steps))
+            return cls(name, hamiltonian, circ, theta0, eta, max_steps)
         except KeyError as exc:
             raise ValueError(f"config file missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -158,24 +161,15 @@ def _json_number(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; JSON booleans, fractions and strings are not."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _gate_from_json(entry, index: int) -> Gate:
     try:
         kind = GateKind(entry["kind"])
-        targets = tuple(_json_int(t, "gate target") for t in entry["targets"])
+        targets = tuple(entry["targets"])
         rows = entry["matrix"] if kind is GateKind.UNITARY else None
     except KeyError as exc:
         raise ValueError(f"gate {index} missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad gate entry {entry!r}: {exc}") from exc
-    param = entry.get("param_index")
-    param = None if param is None else _json_int(param, "param_index")
     matrix = None
     if kind is GateKind.UNITARY:
         try:
@@ -184,7 +178,7 @@ def _gate_from_json(entry, index: int) -> Gate:
                                 for real, imag in row] for row in rows])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad unitary matrix in gate {index}: {exc}") from exc
-    return Gate(kind, targets, param, matrix)
+    return Gate(kind, targets, entry.get("param_index"), matrix)
 
 
 def _gate_to_json(gate: Gate) -> dict:
@@ -198,7 +192,7 @@ def _gate_to_json(gate: Gate) -> dict:
 
 def _circuit_from_json(entry) -> AnsatzCircuit:
     try:
-        n_qubits = _json_int(entry["n_qubits"], "n_qubits")
+        n_qubits = entry["n_qubits"]
         gates = [_gate_from_json(g, i) for i, g in enumerate(entry["gates"])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"circuit entry needs n_qubits and gates: {exc}") from exc

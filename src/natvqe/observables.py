@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import MAX_QUBITS, AnsatzCircuit, state_and_tangents
+from .states import MAX_QUBITS, AnsatzCircuit, check_integer, state_and_tangents
 
 __all__ = [
     "PauliHamiltonian",
@@ -49,6 +49,7 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", check_integer(self.n_qubits, "n_qubits"))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}")
         if not self.terms:
@@ -172,6 +173,8 @@ class SpectralDecomposition:
         Weight i is the sum of |c_j|^2 over the columns j of outcome i; for a
         normalized state these are the outcome probabilities.
         """
+        if np.shape(vec) != (len(self.basis),):
+            raise ValueError("decomposition and state dimensions do not match")
         coeffs = np.conj(np.conj(vec) @ self.basis)
         return coeffs, np.add.reduceat(coeffs.real ** 2 + coeffs.imag ** 2, self.starts)
 
@@ -195,10 +198,7 @@ def outcome_distribution(decomposition: SpectralDecomposition, state: np.ndarray
     Read off the eigenbasis coefficients of phi (``SpectralDecomposition.expand``):
     one d x d product for all outcomes, the same p the classical Fisher metric uses.
     """
-    vec = np.asarray(state, dtype=complex)
-    if vec.shape != (len(decomposition.basis),):
-        raise ValueError("decomposition and state dimensions do not match")
-    p = decomposition.expand(vec)[1]
+    p = decomposition.expand(np.asarray(state, dtype=complex))[1]
     if not (p.min() >= -1e-10 and p.max() <= 1.0 + 1e-10):
         raise ValueError("probabilities must lie in [0, 1]")
     if not abs(p.sum() - 1.0) <= 1e-10:

@@ -64,6 +64,7 @@ __all__ = [
     "cnot",
     "fixed_unitary",
     "circuit",
+    "check_integer",
     "check_parameters",
     "state_and_tangents",
     "build_state",
@@ -87,6 +88,13 @@ _ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
 _TWO_I = np.array(2.0j)
 
 
+def check_integer(value, what: str) -> int:
+    """``value`` as a Python int: a Python or numpy integer passes, a bool or anything else not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     out = np.array(array, copy=True)
     out.setflags(write=False)
@@ -103,6 +111,10 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "targets",
+                           tuple(check_integer(t, "gate target") for t in self.targets))
+        if self.param_index is not None:
+            object.__setattr__(self, "param_index", check_integer(self.param_index, "param_index"))
         if len(set(self.targets)) != len(self.targets) or any(t < 0 for t in self.targets):
             raise ValueError(f"gate targets must be distinct and non-negative, got {self.targets}")
         if self.kind in _PARAMETRIZED:
@@ -181,6 +193,7 @@ class AnsatzCircuit:
     _memo: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", check_integer(self.n_qubits, "n_qubits"))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}")
         used: set[int] = set()

@@ -14,12 +14,16 @@ from natvqe import (
     PRESET_NAMES,
     MetricUndefinedError,
     Problem,
+    circuit,
+    cnot,
     compare,
     load_preset,
     pauli_sum,
     run,
+    ry,
     steps_to_threshold,
 )
+from natvqe.experiments import h2_hamiltonian, sigma_x_hamiltonian
 from natvqe.observables import dense_matrix
 from natvqe.optimizers import MAX_STEPS
 from test_states import random_circuit
@@ -197,6 +201,31 @@ class TestProblemJson:
         fields = dict(vars(load_preset("qubit-a")), **{field: value})
         with pytest.raises(ValueError, match=message):
             Problem(**fields)
+
+    def test_hamiltonian_and_circuit_qubit_counts_must_match(self):
+        # a 1-qubit H on the h2 circuit used to build: its reference energy read -1.0,
+        # compare failed at the first energy and from_json rejected its own to_json
+        fields = dict(vars(load_preset("h2-a")), hamiltonian=sigma_x_hamiltonian())
+        with pytest.raises(ValueError) as err:
+            Problem(**fields)
+        assert str(err.value) == "hamiltonian acts on 1 qubit(s), circuit on 2"
+
+    def test_whole_max_steps_is_stored_as_an_int(self):
+        # 3.0 used to be kept, and echoed as 3.0
+        problem = Problem(**dict(vars(load_preset("qubit-a")), max_steps=3.0))
+        assert type(problem.max_steps) is int and problem.max_steps == 3
+        assert json.dumps(problem.to_json()["max_steps"]) == "3"
+
+    def test_numpy_integers_round_trip(self):
+        # np.int64 slots used to reach to_json, which json.dumps rejected
+        i = np.int64
+        circ = circuit(i(2), [ry(i(0), i(0)), ry(i(1), i(1)), cnot(i(0), i(1)),
+                              ry(i(0), i(2)), ry(i(1), i(3))])
+        hamiltonian = pauli_sum(i(2), h2_hamiltonian().terms)
+        problem = Problem("h2-a", hamiltonian, circ, (-0.2, -0.2, 0.0, 0.0), 0.05, i(1000))
+        doc = json.loads(json.dumps(problem.to_json()))
+        assert doc == load_preset("h2-a").to_json()
+        assert Problem.from_json(doc, "h2-a").circuit.n_params == 4
 
     @pytest.mark.parametrize("gate, field", [
         ({"kind": "unitary", "targets": [0]}, "matrix"),

@@ -39,7 +39,7 @@ from natvqe import (
 )
 from natvqe.experiments import hardware_efficient_ansatz, single_qubit_ansatz
 from natvqe.geometry import PROB_FLOOR, MetricMatrix
-from natvqe.observables import outcome_distribution
+from natvqe.observables import SpectralDecomposition, outcome_distribution
 from natvqe.optimizers import metric_for
 from natvqe.states import Gate, GateKind
 from test_observables import projectors
@@ -219,6 +219,47 @@ class TestClassicalFisherMetric:
         circ, h = single_qubit
         with pytest.raises(MetricUndefinedError, match="degenerate distribution"):
             classical_fisher_metric(circ, [np.pi / 4, 0.0], spectral_decompose(h))
+
+    def test_decomposition_of_another_size_rejected(self, single_qubit):
+        # it used to fail inside numpy: "matmul: Input operand 1 has a mismatch ..."
+        _, h = single_qubit
+        with pytest.raises(ValueError) as err:
+            classical_fisher_metric(hardware_efficient_ansatz(), [0.1, 0.2, 0.3, 0.4],
+                                    spectral_decompose(h))
+        assert str(err.value) == "decomposition and state dimensions do not match"
+
+    def test_computational_basis_on_the_h2_ansatz_is_four_f(self):
+        """The h2 ansatz has real amplitudes phi_j, so p_j = phi_j^2 and FC = 4 Re<d phi|d phi> = 4F."""
+        circ = hardware_efficient_ansatz()
+        computational = SpectralDecomposition(np.arange(4.0), np.eye(4), np.arange(4))
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(500):
+            theta = rng.uniform(-np.pi, np.pi, 4)
+            four_f = 4.0 * fubini_study_metric(circ, theta).values
+            fc = classical_fisher_metric(circ, theta, computational).values
+            worst = max(worst, np.max(np.abs(fc - four_f)) / np.max(np.abs(four_f)))
+        assert worst < 1e-14  # measured: 4.4e-16
+
+    def test_z_and_x_measurements_of_the_single_qubit_ansatz_have_rank_one(self):
+        """Two outcomes give rank 1 of 2 wherever FC is defined, and each basis sees a
+        different share of 4F; in Z it is 1 / (1 + sin^2(2 t1)), whose mean is 1/sqrt(2)."""
+        circ = single_qubit_ansatz()
+        rng = np.random.default_rng(28)
+        for label, share in (("Z", 0.686), ("X", 0.479)):  # measured on these 300 points each
+            decomp = spectral_decompose(pauli_sum(1, [(1.0, label)]))
+            ratios = []
+            for _ in range(300):
+                theta = rng.uniform(-np.pi, np.pi, 2)
+                try:
+                    fc = classical_fisher_metric(circ, theta, decomp)
+                except MetricUndefinedError:
+                    continue
+                assert singularity_report(fc).rank == 1
+                four_f = 4.0 * fubini_study_metric(circ, theta).values
+                ratios.append(np.trace(fc.values) / np.trace(four_f))
+            assert len(ratios) > 290
+            assert np.mean(ratios) == pytest.approx(share, abs=1e-3)
 
 
 class TestSingularityReport:
@@ -468,6 +509,16 @@ def problems(draw):
     return random_problem(lambda k: draw(st.integers(0, k - 1)), lambda: draw(angle))
 
 
+def random_measurement(rng, dim):
+    """A seeded random orthonormal basis of C^dim, split into random outcome blocks: any
+    measurement, not H's eigenbasis, which ``classical_fisher_metric`` takes all the same."""
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    outcomes = int(rng.integers(1, dim + 1))
+    starts = np.concatenate([[0], np.sort(rng.choice(np.arange(1, dim), outcomes - 1,
+                                                     replace=False))])
+    return SpectralDecomposition(np.arange(float(outcomes)), basis, starts)
+
+
 def seeded_problems(seed, count):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -476,33 +527,36 @@ def seeded_problems(seed, count):
 
 class TestClassicalFisherEigenbasis:
     def test_matches_projector_loop(self):
+        rng = np.random.default_rng(43)
         seen = set()
         for circ, h, theta in seeded_problems(41, 400):
-            decomp = spectral_decompose(h)
-            try:
-                ref, ref_kept = projector_loop_fisher(circ, theta, decomp)
-            except MetricUndefinedError:
-                with pytest.raises(MetricUndefinedError, match="degenerate distribution"):
-                    classical_fisher_metric(circ, theta, decomp)
-                seen.add("raised")
-                continue
-            values = classical_fisher_metric(circ, theta, decomp).values
-            phi, tangents = state_and_tangents(circ, theta)
-            p = decomp.expand(phi)[1]
-            assert np.array_equal(p > PROB_FLOOR, ref_kept)
-            if p[ref_kept].min() > 1e-6:
-                # |FC_ij| <= 4 max_i |d_i phi|^2, so this is a relative bound even
-                # where FC itself is round-off (a stationary point of every p_k)
-                scale = 4.0 * np.max(np.sum(np.abs(tangents) ** 2, axis=1))
-                assert np.max(np.abs(values - ref)) <= 1e-9 * scale
-                seen.add("compared")
-            if not ref_kept.all():
-                seen.add("outcome dropped")
-            if np.any(np.diff(np.append(decomp.starts, len(phi))) > 1):
-                seen.add("degenerate outcome")
-            if circ.n_qubits == 3:
-                seen.add("3 qubits")
-        assert seen == {"raised", "compared", "outcome dropped", "degenerate outcome", "3 qubits"}
+            measured = random_measurement(rng, 2 ** circ.n_qubits)
+            for basis, decomp in (("eigenbasis", spectral_decompose(h)), ("random", measured)):
+                try:
+                    ref, ref_kept = projector_loop_fisher(circ, theta, decomp)
+                except MetricUndefinedError:
+                    with pytest.raises(MetricUndefinedError, match="degenerate distribution"):
+                        classical_fisher_metric(circ, theta, decomp)
+                    seen.add("raised")
+                    continue
+                values = classical_fisher_metric(circ, theta, decomp).values
+                phi, tangents = state_and_tangents(circ, theta)
+                p = decomp.expand(phi)[1]
+                assert np.array_equal(p > PROB_FLOOR, ref_kept)
+                if p[ref_kept].min() > 1e-6:
+                    # |FC_ij| <= 4 max_i |d_i phi|^2, so this is a relative bound even
+                    # where FC itself is round-off (a stationary point of every p_k)
+                    scale = 4.0 * np.max(np.sum(np.abs(tangents) ** 2, axis=1))
+                    assert np.max(np.abs(values - ref)) <= 1e-9 * scale
+                    seen.add(f"compared in {basis}")
+                if not ref_kept.all():
+                    seen.add("outcome dropped")
+                if np.any(np.diff(np.append(decomp.starts, len(phi))) > 1):
+                    seen.add("degenerate outcome")
+                if circ.n_qubits == 3:
+                    seen.add("3 qubits")
+        assert seen == {"raised", "compared in eigenbasis", "compared in random",
+                        "outcome dropped", "degenerate outcome", "3 qubits"}
 
     def test_central_difference_oracle(self):
         """dp from central differences of p_k = <phi|P_k|phi>, independent of both forms."""
@@ -526,15 +580,19 @@ class TestClassicalFisherEigenbasis:
             done += 1
         assert done > 100
 
-    @given(problems())
-    def test_dominated_by_four_times_metric(self, problem):
+    @given(problems(), st.integers(0, 2 ** 32 - 1))
+    def test_dominated_by_four_times_metric(self, problem, seed):
+        # in H's eigenbasis and in any other measurement: a seeded random basis and split
         circ, h, theta = problem
-        try:
-            fc = classical_fisher_metric(circ, theta, spectral_decompose(h))
-        except MetricUndefinedError:
-            return
         four_f = MetricMatrix(4.0 * fubini_study_metric(circ, theta).values)
-        assert min_eig_of_difference(four_f, fc) >= -1e-9 * max(1.0, float(four_f.eigenvalues[-1]))
+        measured = random_measurement(np.random.default_rng(seed), 2 ** circ.n_qubits)
+        for decomp in (spectral_decompose(h), measured):
+            try:
+                fc = classical_fisher_metric(circ, theta, decomp)
+            except MetricUndefinedError:
+                continue
+            bound = -1e-9 * max(1.0, float(four_f.eigenvalues[-1]))
+            assert min_eig_of_difference(four_f, fc) >= bound
 
     @given(problems())
     def test_rank_below_kept_outcomes(self, problem):

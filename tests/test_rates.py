@@ -13,7 +13,9 @@ where it lands, which depends on the ansatz.  The gap also sets the natural
 step's escape rate from the E1 plateau, and its path follows imaginary-time
 evolution to first order in eta.
 """
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,9 +121,13 @@ def pauli_hamiltonian(matrix):
     return pauli_sum(n, terms)
 
 
-def ground_state_problem(rng):
-    """A random circuit of at most 3 qubits, a theta*, and a Hamiltonian with a random
-    gapped spectrum whose ground state is phi(theta*)."""
+LEVELS = {"lowest": lambda d: 0, "middle": lambda d: d // 2, "highest": lambda d: d - 1}
+
+
+def eigenstate_problem(rng, level="lowest"):
+    """A random circuit of at most 3 qubits, a theta*, a Hamiltonian with a random
+    spectrum (ascending, gapped above its lowest level) and the index s of the level
+    that phi(theta*) takes: its lowest, a middle one or its highest (``LEVELS``)."""
     circ = random_circuit(rng)
     while circ.n_qubits > 3:
         circ = random_circuit(rng)
@@ -131,8 +137,11 @@ def ground_state_problem(rng):
     z[:, 0] = build_state(circ, theta)
     basis = np.linalg.qr(z)[0]  # column 0 is phi(theta*) up to a phase
     energies = np.concatenate([[-1.0], np.sort(rng.uniform(-0.8, 1.0, d - 1))])
-    hamiltonian = pauli_hamiltonian((basis * energies) @ basis.conj().T)
-    return circ, theta, hamiltonian, energies
+    s = LEVELS[level](d)
+    levels = energies.copy()
+    levels[[0, s]] = energies[[s, 0]]  # column 0 takes level s
+    hamiltonian = pauli_hamiltonian((basis * levels) @ basis.conj().T)
+    return circ, theta, hamiltonian, energies, s
 
 
 def difference_hessian(hamiltonian, circ, theta, h=1e-5):
@@ -146,18 +155,24 @@ def difference_hessian(hamiltonian, circ, theta, h=1e-5):
     return np.array(columns).T
 
 
-def test_natural_step_spectrum_on_random_circuits():
+@pytest.mark.parametrize("level", LEVELS)
+def test_natural_step_spectrum_on_random_circuits(level):
+    """At any eigenstate phi of H, of level E_s, the gradient vanishes and Hess =
+    2 Re T^dag (H - E_s) T, so spec(F^+ Hess) on F's range lies in 2 (E_k - E_s) over the
+    levels k != s.  That interval is positive at the lowest level, negative at the
+    highest and holds 0 at a middle one, a saddle."""
     rng = np.random.default_rng(7)
     checked = 0
     for _ in range(40):
-        circ, theta, hamiltonian, e = ground_state_problem(rng)
+        circ, theta, hamiltonian, e, s = eigenstate_problem(rng, level)
+        others = np.delete(e, s)
         phi, tangents = state_and_tangents(circ, theta)
-        shifted = dense_matrix(hamiltonian) - e[0] * np.eye(len(phi))
+        shifted = dense_matrix(hamiltonian) - e[s] * np.eye(len(phi))
         hess = 2.0 * (tangents.conj() @ shifted @ tangents.T).real
 
         # oracle: central differences of the exact gradient
         value, grad = energy_and_gradient(hamiltonian, circ, theta)
-        assert value == pytest.approx(e[0], abs=1e-12)
+        assert value == pytest.approx(e[s], abs=1e-12)
         assert np.abs(grad).max() < 1e-12
         np.testing.assert_allclose(hess, difference_hessian(hamiltonian, circ, theta), atol=1e-6)
 
@@ -170,8 +185,8 @@ def test_natural_step_spectrum_on_random_circuits():
         np.testing.assert_allclose(hess @ v[:, ~rank], 0.0, atol=1e-9)
         scale = v[:, rank] / np.sqrt(w[rank])
         eigenvalues = np.linalg.eigvalsh(scale.T @ hess @ scale)
-        assert eigenvalues.min() >= 2.0 * (e[1] - e[0]) - 1e-7
-        assert eigenvalues.max() <= 2.0 * (e[-1] - e[0]) + 1e-7
+        assert eigenvalues.min() >= 2.0 * (others.min() - e[s]) - 1e-7
+        assert eigenvalues.max() <= 2.0 * (others.max() - e[s]) + 1e-7
         checked += 1
     assert checked >= 30
 
@@ -202,6 +217,19 @@ def test_plateau_saddle_escape_rates():
     # measured: 1.079985 against 1.07983
     assert growth[OptimizerKind.VANILLA] == pytest.approx(1.0 - ETA * lowest, rel=1e-3)
     assert growth[OptimizerKind.VANILLA] > growth[OptimizerKind.NATURAL_FS]
+
+
+def test_seeded_starts_escape_the_plateau_sooner():
+    """``scripts/plateau_escape.py`` at delta = 1e-3 with two directions: each count is
+    below its count from the preset start itself, where round-off seeds the escape."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "plateau_escape.py"
+    spec = importlib.util.spec_from_file_location("plateau_escape", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    counts = script.escape_steps(1e-3, script.directions(2))
+    unperturbed = {OptimizerKind.NATURAL_FS: 487, OptimizerKind.VANILLA: 491, OptimizerKind.ITE: 487}
+    for kind, steps in counts.items():
+        assert len(steps) == 2 and max(steps) < unperturbed[kind], (kind, steps)
 
 
 def worst_ite_infidelity(problem, kind, eta, horizon=3.0):

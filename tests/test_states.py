@@ -128,6 +128,11 @@ class TestCircuitValidation:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError):
             Gate(GateKind.RY, (0,))
+        # a bool or fractional slot used to be taken (True as slot 1), a string to raise TypeError
+        for slot in (1.0, 1.5, True, "1"):
+            with pytest.raises(ValueError) as err:
+                ry(0, slot)
+            assert str(err.value) == f"param_index must be an integer, got {slot!r}"
 
     def test_non_unitary_matrix_rejected(self):
         for entry in (1, np.nan, np.inf):
@@ -167,20 +172,46 @@ class TestCircuitValidation:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             circuit(1, [ry(1, 0)])
+        # these used to reach the circuit, which said "gate targets (True,) exceed 1 qubits"
+        for target in (1.0, 1.5, True, "1"):
+            with pytest.raises(ValueError) as err:
+                circuit(1, [ry(target, 0)])
+            assert str(err.value) == f"gate target must be an integer, got {target!r}"
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
             cnot(0, 0)
 
-    @pytest.mark.parametrize("n_qubits", [0, MAX_QUBITS + 1, 10 ** 30])
-    def test_qubit_count_out_of_bounds_rejected(self, n_qubits):
+    @pytest.mark.parametrize("n_qubits, message", [
+        pytest.param(n, f"n_qubits must be between 1 and {MAX_QUBITS}, got {n}", id=str(n))
+        for n in (0, MAX_QUBITS + 1, 10 ** 30)
+    ] + [
+        # 2.0 used to raise TypeError from the sweep compiler
+        pytest.param(n, f"n_qubits must be an integer, got {n!r}", id=repr(n))
+        for n in (2.0, 2.9, True)
+    ])
+    def test_qubit_count_out_of_bounds_rejected(self, n_qubits, message):
         # checked before the sweep is compiled: 2**n amplitudes are never allocated
-        with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}"):
+        with pytest.raises(ValueError) as err:
             AnsatzCircuit(n_qubits, ())
+        assert str(err.value) == message
 
     def test_hamiltonian_qubit_count_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match=f"between 1 and {MAX_QUBITS}"):
             pauli_sum(MAX_QUBITS + 1, [(1.0, "Z" * (MAX_QUBITS + 1))])
+        # 2.0 used to build, and dense_matrix then raised TypeError
+        for n_qubits in (2.0, 2.9, True):
+            with pytest.raises(ValueError) as err:
+                pauli_sum(n_qubits, [(1.0, "ZZ")])
+            assert str(err.value) == f"n_qubits must be an integer, got {n_qubits!r}"
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        circ = circuit(np.int64(2), [ry(np.int64(0), np.int64(0)), cnot(np.intp(0), np.int32(1))])
+        assert type(circ.n_qubits) is int and type(circ.n_params) is int
+        for gate in circ.gates:
+            assert all(type(t) is int for t in gate.targets)
+            assert gate.param_index is None or type(gate.param_index) is int
+        assert type(pauli_sum(np.int64(2), [(1.0, "ZZ")]).n_qubits) is int
 
     def test_largest_qubit_count_accepted(self):
         circ = circuit(MAX_QUBITS, [ry(MAX_QUBITS - 1, 0)])
