@@ -86,7 +86,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits or too deep
         raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")

@@ -34,7 +34,8 @@ from .optimizers import (
     check_limits,
     run,
 )
-from .states import AnsatzCircuit, Gate, GateKind, check_parameters, circuit, cnot, phase, ry
+from .states import (AnsatzCircuit, Gate, GateKind, check_parameters, check_real, circuit, cnot,
+                     phase, ry)
 
 __all__ = [
     "Problem",
@@ -76,9 +77,10 @@ def h2_hamiltonian(alpha: float = 0.4, beta: float = 0.2) -> PauliHamiltonian:
 class Problem:
     """A named problem instance: a Hamiltonian, an ansatz, a start and run settings.
 
-    The Hamiltonian and the circuit must act on the same qubits, ``theta0`` fit the circuit,
-    ``eta`` be positive and finite and ``max_steps`` a whole number from 1 to
-    ``optimizers.MAX_STEPS`` (stored as an int); all are checked at construction.
+    The Hamiltonian and the circuit must act on the same qubits, ``theta0`` be numbers
+    that fit the circuit, ``eta`` be positive and finite and ``max_steps`` a whole number
+    from 1 to ``optimizers.MAX_STEPS``; all are checked at construction, and ``theta0``
+    and ``eta`` are stored as Python floats, ``max_steps`` as an int.
     ``reference_energy`` is not an input: it is the Hamiltonian's ground energy,
     computed by exact diagonalization, which ``compare`` measures against.
 
@@ -114,8 +116,12 @@ class Problem:
         if self.hamiltonian.n_qubits != self.circuit.n_qubits:
             raise ValueError(f"hamiltonian acts on {self.hamiltonian.n_qubits} qubit(s), "
                              f"circuit on {self.circuit.n_qubits}")
-        check_parameters(self.circuit, self.theta0)
-        ConstantRate(self.eta)  # raises for a rate the schedule would not take
+        theta0 = self.theta0
+        if np.ndim(theta0) == 1:  # any other shape is check_parameters' refusal
+            theta0 = tuple(check_real(x, "theta0 entry") for x in theta0)
+        check_parameters(self.circuit, theta0)
+        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "eta", ConstantRate(self.eta).eta)  # the schedule's own check
         check_limits(self.max_steps)
         object.__setattr__(self, "max_steps", int(self.max_steps))
 
@@ -130,10 +136,8 @@ class Problem:
         try:
             circ = _circuit_from_json(doc["circuit"])
             hamiltonian = _hamiltonian_from_json(doc["hamiltonian"], circ.n_qubits)
-            theta0 = tuple(_json_number(x, "theta0 entry") for x in doc["theta0"])
-            max_steps = _json_number(doc.get("max_steps", 100), "max_steps")
-            eta = _json_number(doc.get("eta", 0.05), "eta")
-            return cls(name, hamiltonian, circ, theta0, eta, max_steps)
+            return cls(name, hamiltonian, circ, doc["theta0"], doc.get("eta", 0.05),
+                       doc.get("max_steps", 100))
         except KeyError as exc:
             raise ValueError(f"config file missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -151,16 +155,6 @@ class Problem:
         }
 
 
-def _json_number(value, what: str) -> float:
-    """A JSON number that fits a float; JSON booleans and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past the float range, whose digits are not echoed
-        raise ValueError(f"{what} is too large for a float") from None
-
-
 def _gate_from_json(entry, index: int) -> Gate:
     try:
         kind = GateKind(entry["kind"])
@@ -173,8 +167,8 @@ def _gate_from_json(entry, index: int) -> Gate:
     matrix = None
     if kind is GateKind.UNITARY:
         try:
-            matrix = np.array([[complex(_json_number(real, "matrix entry"),
-                                        _json_number(imag, "matrix entry"))
+            matrix = np.array([[complex(check_real(real, "matrix entry"),
+                                        check_real(imag, "matrix entry"))
                                 for real, imag in row] for row in rows])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad unitary matrix in gate {index}: {exc}") from exc
@@ -204,8 +198,7 @@ def _circuit_from_json(entry) -> AnsatzCircuit:
 
 def _hamiltonian_from_json(terms, n_qubits: int) -> PauliHamiltonian:
     try:
-        return pauli_sum(n_qubits, [(_json_number(c, "hamiltonian coefficient"), str(s))
-                                    for c, s in terms])
+        return pauli_sum(n_qubits, terms)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad hamiltonian terms: {exc}") from exc
 

@@ -22,14 +22,14 @@ Which geometry an update rule uses is chosen in one place,
 """
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .observables import SpectralDecomposition
-from .states import AnsatzCircuit, state_and_tangents
+from .states import AnsatzCircuit, check_real, state_and_tangents
 
 __all__ = [
     "MetricMatrix",
@@ -102,7 +102,8 @@ def fubini_study_metric(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMa
     phi, tangents = state_and_tangents(circ, theta)
     bras = tangents.conj()
     overlap = bras @ phi
-    values = (bras @ tangents.T).real - (overlap[:, None] * overlap.conj()).real
+    # np.outer's own product: with a 1-d right operand, m = 1 rounds differently in the last bit
+    values = (bras @ tangents.T).real - (overlap[:, None] * overlap.conj()[None, :]).real
     return MetricMatrix(_symmetrized(values))
 
 
@@ -152,9 +153,9 @@ class SingularityReport:
 
 def check_tolerance(value: float, name: str) -> None:
     """Raise unless the tolerance ``value``, named ``name`` in the message, is finite and >= 0."""
-    # bounded by the largest float, not inf: an int past the float range overflows later
-    if not (0.0 <= value <= sys.float_info.max):
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    tol = check_real(value, name)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {tol}")
 
 
 def singularity_report(metric: MetricMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SingularityReport:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import MAX_QUBITS, AnsatzCircuit, check_integer, state_and_tangents
+from .states import MAX_QUBITS, AnsatzCircuit, check_integer, check_real, state_and_tangents
 
 __all__ = [
     "PauliHamiltonian",
@@ -43,7 +43,7 @@ DEGENERACY_TOL = 1e-9  # eigenvalues of H closer than this are one outcome
 
 @dataclass(frozen=True)
 class PauliHamiltonian:
-    """Real-weighted sum of Pauli strings, e.g. 0.4*ZI + 0.4*IZ + 0.2*XX."""
+    """Float-weighted sum of Pauli strings, e.g. 0.4*ZI + 0.4*IZ + 0.2*XX."""
 
     n_qubits: int
     terms: tuple[tuple[float, str], ...]
@@ -52,6 +52,8 @@ class PauliHamiltonian:
         object.__setattr__(self, "n_qubits", check_integer(self.n_qubits, "n_qubits"))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {self.n_qubits}")
+        object.__setattr__(self, "terms", tuple(
+            (check_real(coeff, "hamiltonian coefficient"), label) for coeff, label in self.terms))
         if not self.terms:
             raise ValueError("hamiltonian needs at least one term")
         for coeff, label in self.terms:
@@ -63,8 +65,7 @@ class PauliHamiltonian:
 
 def pauli_sum(n_qubits: int, terms: Iterable[tuple[float, str]]) -> PauliHamiltonian:
     """Normalize (coefficient, pauli_string) pairs into a PauliHamiltonian."""
-    normalized = tuple((float(c), str(s).upper()) for c, s in terms)
-    return PauliHamiltonian(n_qubits, normalized)
+    return PauliHamiltonian(n_qubits, tuple((c, str(s).upper()) for c, s in terms))
 
 
 @lru_cache(maxsize=128)

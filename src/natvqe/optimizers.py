@@ -15,7 +15,6 @@ update loop and calls ``metric_for`` at every iterate; one update from theta is
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
@@ -30,7 +29,7 @@ from .geometry import (
     ite_matrix,
 )
 from .observables import PauliHamiltonian, energy_and_gradient, spectral_decompose
-from .states import AnsatzCircuit, check_parameters
+from .states import AnsatzCircuit, check_parameters, check_real
 
 __all__ = [
     "OptimizerKind",
@@ -81,14 +80,14 @@ def metric_for(
 
 
 class _PositiveSetting:
-    """Base of a frozen setting whose one field must be a positive, finite number."""
+    """Base of a frozen setting whose one field is a positive, finite number, stored as a float."""
 
     def __post_init__(self) -> None:
         (spec,) = fields(self)
-        value = getattr(self, spec.name)
-        # bounded by the largest float, not inf: an int past the float range overflows later
-        if not (0.0 < value <= sys.float_info.max):
+        value = check_real(getattr(self, spec.name), spec.name)
+        if not 0.0 < value < math.inf:
             raise ValueError(f"{spec.name} must be positive and finite, got {value}")
+        object.__setattr__(self, spec.name, value)
 
 
 @dataclass(frozen=True)
@@ -200,12 +199,12 @@ def solve_regularized(
 
 def check_limits(max_steps: int, grad_tol: float = 0.0) -> None:
     """Raise unless ``max_steps`` is whole in [1, MAX_STEPS] and ``grad_tol`` a tolerance."""
-    # compared, not math.isfinite: that overflows on an int past the float range
-    if not (-math.inf < max_steps < math.inf and max_steps == int(max_steps)):
-        raise ValueError(f"max_steps must be a whole number, got {max_steps!r}")
-    if max_steps < 1:
+    steps = check_real(max_steps, "max_steps")
+    if not steps.is_integer():  # False for nan and inf
+        raise ValueError(f"max_steps must be a whole number, got {steps!r}")
+    if steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if max_steps > MAX_STEPS:
+    if steps > MAX_STEPS:
         raise ValueError(f"max_steps must be at most {MAX_STEPS}")
     check_tolerance(grad_tol, "grad_tol")
 

@@ -65,6 +65,7 @@ __all__ = [
     "fixed_unitary",
     "circuit",
     "check_integer",
+    "check_real",
     "check_parameters",
     "state_and_tangents",
     "build_state",
@@ -93,6 +94,17 @@ def check_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a Python float: a Python or numpy integer or float passes, a bool or
+    anything else not, and an integer past the float range is named, not echoed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -299,11 +299,13 @@ class TestRunCommand:
     @pytest.mark.parametrize("data", [
         json.dumps(CUSTOM_CONFIG).replace('"eta": 0.05', '"eta": 1' + "0" * 4999).encode(),
         b'{"eta": "\xff"}',
-    ], ids=["5000-digit-literal", "not-utf-8"])
+        b"[" * 200_000 + b"]" * 200_000,
+    ], ids=["5000-digit-literal", "not-utf-8", "nested-200000-deep"])
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, data):
         # json.load raises a plain ValueError for an integer literal past Python's
-        # 4300-digit limit, and reading raises UnicodeDecodeError for bytes that
-        # are not UTF-8; neither is a JSONDecodeError, and both used to exit 3
+        # 4300-digit limit, reading raises UnicodeDecodeError for bytes that are not
+        # UTF-8, and nesting past the recursion limit raises RecursionError; none is
+        # a JSONDecodeError, and the first two used to exit 3, the last 1 with a traceback
         config = tmp_path / "problem.json"
         config.write_bytes(data)
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Preset constants, the problem JSON schema and optimizer comparisons."""
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -24,7 +25,7 @@ from natvqe import (
     steps_to_threshold,
 )
 from natvqe.experiments import h2_hamiltonian, sigma_x_hamiltonian
-from natvqe.observables import dense_matrix
+from natvqe.observables import PauliHamiltonian, dense_matrix
 from natvqe.optimizers import MAX_STEPS
 from test_states import random_circuit
 
@@ -196,6 +197,21 @@ class TestProblemJson:
         ("max_steps", 2.5, "max_steps must be a whole number"),
         ("theta0", (0.1,), r"circuit takes 2 parameter\(s\), got shape \(1,\)"),
         ("theta0", (0.1, math.nan), "parameters must be finite"),
+        ("theta0", 0.1, r"circuit takes 2 parameter\(s\), got shape \(\)"),
+        # the config reader's number rule: a bool or string used to be stored, or to raise
+        # TypeError, and an int past the float range was echoed digit for digit
+        ("eta", True, "^eta must be a number, got True$"),
+        ("eta", "0.05", "^eta must be a number, got '0.05'$"),
+        pytest.param("eta", 10 ** 400, "^eta is too large for a float$",
+                     id="eta-int-past-float-range"),
+        ("max_steps", True, "^max_steps must be a number, got True$"),
+        ("max_steps", "3", "^max_steps must be a number, got '3'$"),
+        pytest.param("max_steps", 10 ** 400, "^max_steps is too large for a float$",
+                     id="max_steps-int-past-float-range"),
+        ("theta0", (True, 0.2), "^theta0 entry must be a number, got True$"),
+        ("theta0", ("0.1", "0.2"), "^theta0 entry must be a number, got '0.1'$"),
+        pytest.param("theta0", (0.1, 10 ** 400), "^theta0 entry is too large for a float$",
+                     id="theta0-int-past-float-range"),
     ])
     def test_direct_construction_checks_theta0_eta_and_max_steps(self, field, value, message):
         fields = dict(vars(load_preset("qubit-a")), **{field: value})
@@ -226,6 +242,17 @@ class TestProblemJson:
         doc = json.loads(json.dumps(problem.to_json()))
         assert doc == load_preset("h2-a").to_json()
         assert Problem.from_json(doc, "h2-a").circuit.n_params == 4
+
+    def test_numpy_floats_round_trip(self):
+        # float32 values used to reach to_json, which json.dumps rejected
+        f = np.float32
+        preset = load_preset("h2-a")
+        hamiltonian = PauliHamiltonian(2, tuple((f(c), s) for c, s in preset.hamiltonian.terms))
+        problem = Problem("h2-a", hamiltonian, preset.circuit, np.array(preset.theta0, dtype=f),
+                          f(0.05), 1000)
+        doc = json.loads(json.dumps(problem.to_json()))
+        assert Problem.from_json(doc, "h2-a").to_json() == doc
+        assert doc["eta"] == float(f(0.05)) and doc["theta0"] == [float(f(-0.2))] * 2 + [0.0] * 2
 
     @pytest.mark.parametrize("gate, field", [
         ({"kind": "unitary", "targets": [0]}, "matrix"),
@@ -353,10 +380,15 @@ class TestCompare:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def readme_table():
-    """{(preset, optimizer): steps} from the README's steps-to-threshold table ('-' = not run)."""
-    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Case-study results\n")[1]
-    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")]
+def readme_table(readme=None):
+    """{(preset, optimizer): steps} from the README's steps-to-threshold table ('-' = not run):
+    the first table after "## Case-study results"."""
+    if readme is None:
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## Case-study results\n")[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = [line.strip("|").split("|")
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
     header = [cell.strip() for cell in rows[0]]
     table = {}
     for row in rows[2:]:
@@ -380,3 +412,11 @@ def test_readme_steps_to_threshold_table():
             observed[name, kind.value] = result.steps_to_threshold
     assert observed == readme_table()
     assert observed["h2-plateau", "natural"] == 487
+
+
+def test_readme_table_ends_at_its_last_row():
+    # every "|" line to the end of the README used to be read as a row, so any
+    # later table failed int() on its cells
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    later = "\n## Notes\n\n| preset | note |\n|---|---|\n| toy | slow |\n"
+    assert readme_table(readme + later) == readme_table(readme)

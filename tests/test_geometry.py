@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from natvqe import (
@@ -833,9 +833,11 @@ complex_vectors = arrays(np.float64, st.tuples(st.just(2), st.integers(1, 40)),
 
 class TestNumpyHelperRewrites:
     @given(complex_vectors)
+    # at length 1, (z[:, None] * z.conj()).real differed from np.outer in the last bit
+    @example(np.array([7.09038031e+16 + 3.01171799e+15j]))
     def test_broadcast_product_is_outer(self, overlap):
         with np.errstate(all="ignore"):
-            new = (overlap[:, None] * overlap.conj()).real
+            new = (overlap[:, None] * overlap.conj()[None, :]).real
             old = np.real(np.outer(overlap, overlap.conj()))
         assert new.tobytes() == old.tobytes()
 

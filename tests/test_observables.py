@@ -272,3 +272,10 @@ class TestHamiltonianValidation:
     def test_lowercase_accepted(self):
         h = pauli_sum(2, [(0.4, "zi")])
         assert h.terms[0][1] == "ZI"
+
+    @pytest.mark.parametrize("coeff", [True, np.True_, "0.5"])
+    def test_coefficient_must_be_a_number(self, coeff):
+        # a bool used to be taken as 1.0 and a numeric string read by float()
+        with pytest.raises(ValueError) as info:
+            pauli_sum(1, [(coeff, "X")])
+        assert str(info.value) == f"hamiltonian coefficient must be a number, got {coeff!r}"

@@ -1,5 +1,6 @@
 """Update rules, regularized solves, and the iteration loop."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
 
 def edge_floats(allow_nan):
     return st.one_of(st.floats(allow_nan=allow_nan), st.sampled_from(EDGE_FLOATS))
+
+
+# (value, message after the setting's name) for what the number rule refuses: a bool
+# used to pass as 1, a string raised TypeError from a comparison and an int past the
+# float range was echoed digit for digit
+NOT_NUMBERS = [
+    pytest.param(True, "must be a number, got True", id="bool"),
+    pytest.param(np.True_, f"must be a number, got {np.True_!r}", id="numpy-bool"),
+    pytest.param("0.05", "must be a number, got '0.05'", id="text"),
+    pytest.param(10**400, "is too large for a float", id="int-past-float-range"),
+]
+
+SETTINGS = [(ConstantRate, "eta"), (InverseStepRate, "c"), (Tikhonov, "epsilon"),
+            (EigenFloor, "epsilon"), (PseudoInverse, "cut")]
 
 
 def same_bits(a, b):
@@ -234,12 +249,26 @@ class TestSchedules:
         with pytest.raises(ValueError, match="positive"):
             InverseStepRate(-0.1)
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan,
-                                       pytest.param(10**400, id="int-past-float-range")])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_strengths_and_rates_must_be_finite(self, value):
-        for make in (ConstantRate, InverseStepRate, Tikhonov, EigenFloor, PseudoInverse):
+        for make, _ in SETTINGS:
             with pytest.raises(ValueError, match="positive and finite"):
                 make(value)
+
+    @pytest.mark.parametrize("value, message", NOT_NUMBERS)
+    def test_strengths_and_rates_must_be_numbers(self, value, message):
+        for make, name in SETTINGS:
+            with pytest.raises(ValueError) as info:
+                make(value)
+            assert str(info.value) == f"{name} {message}"
+
+    def test_numpy_float_is_stored_as_a_python_float(self):
+        # a float32 used to be kept, and its range check warned "overflow encountered in cast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make, name in SETTINGS:
+                value = getattr(make(np.float32(0.05)), name)
+                assert type(value) is float and value == float(np.float32(0.05))
 
     def test_inverse_step_drives_run(self, single_qubit):
         circ, h = single_qubit
@@ -319,7 +348,7 @@ class TestRun:
         with pytest.raises(ValueError, match="whole number"):
             run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), max_steps=max_steps)
 
-    @pytest.mark.parametrize("max_steps", [optimizers.MAX_STEPS + 1, 10 ** 30, 10 ** 400])
+    @pytest.mark.parametrize("max_steps", [optimizers.MAX_STEPS + 1, 10 ** 30])
     def test_max_steps_bounded_before_any_sweep(self, single_qubit, monkeypatch, max_steps):
         # a run keeps every record, so an unbounded count grows memory until killed
         def no_sweep(*args):
@@ -349,6 +378,24 @@ class TestRun:
         circ, h = single_qubit
         with pytest.raises(ValueError, match="grad_tol"):
             run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("field", ["max_steps", "grad_tol"])
+    @pytest.mark.parametrize("value, message", NOT_NUMBERS)
+    def test_limits_must_be_numbers(self, single_qubit, field, value, message):
+        # max_steps=True used to run one step
+        circ, h = single_qubit
+        with pytest.raises(ValueError) as info:
+            run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05), **{field: value})
+        assert str(info.value) == f"{field} {message}"
+
+    def test_numpy_float_limits_checked_without_warning(self, single_qubit):
+        # grad_tol's range check used to warn "overflow encountered in cast"
+        circ, h = single_qubit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(OptimizerKind.VANILLA, h, circ, [0.1, 0.1], ConstantRate(0.05),
+                       max_steps=np.float32(3.0), grad_tol=np.float32(1e-6))
+        assert [s.k for s in traj.steps] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_circuit_without_parameters_rejected(self, kind):
