@@ -77,10 +77,10 @@ def h2_hamiltonian(alpha: float = 0.4, beta: float = 0.2) -> PauliHamiltonian:
 class Problem:
     """A named problem instance: a Hamiltonian, an ansatz, a start and run settings.
 
-    The Hamiltonian and the circuit must act on the same qubits, ``theta0`` be numbers
-    that fit the circuit, ``eta`` be positive and finite and ``max_steps`` a whole number
-    from 1 to ``optimizers.MAX_STEPS``; all are checked at construction, and ``theta0``
-    and ``eta`` are stored as Python floats, ``max_steps`` as an int.
+    The Hamiltonian and the circuit must act on the same qubits, the circuit have a parameter
+    slot, ``theta0`` be numbers that fit it, ``eta`` be positive and finite and ``max_steps``
+    a whole number from 1 to ``optimizers.MAX_STEPS``; all are checked at construction, and
+    ``theta0`` and ``eta`` are stored as Python floats, ``max_steps`` as an int.
     ``reference_energy`` is not an input: it is the Hamiltonian's ground energy,
     computed by exact diagonalization, which ``compare`` measures against.
 
@@ -116,11 +116,10 @@ class Problem:
         if self.hamiltonian.n_qubits != self.circuit.n_qubits:
             raise ValueError(f"hamiltonian acts on {self.hamiltonian.n_qubits} qubit(s), "
                              f"circuit on {self.circuit.n_qubits}")
-        theta0 = self.theta0
-        if np.ndim(theta0) == 1:  # any other shape is check_parameters' refusal
-            theta0 = tuple(check_real(x, "theta0 entry") for x in theta0)
-        check_parameters(self.circuit, theta0)
-        object.__setattr__(self, "theta0", theta0)
+        if self.circuit.n_params == 0:
+            raise ValueError("circuit has no parameterized gate")
+        theta0 = check_parameters(self.circuit, self.theta0, "theta0 entry")
+        object.__setattr__(self, "theta0", tuple(theta0.tolist()))
         object.__setattr__(self, "eta", ConstantRate(self.eta).eta)  # the schedule's own check
         check_limits(self.max_steps)
         object.__setattr__(self, "max_steps", int(self.max_steps))
@@ -190,10 +189,7 @@ def _circuit_from_json(entry) -> AnsatzCircuit:
         gates = [_gate_from_json(g, i) for i, g in enumerate(entry["gates"])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"circuit entry needs n_qubits and gates: {exc}") from exc
-    circ = circuit(n_qubits, gates)
-    if circ.n_params == 0:
-        raise ValueError("circuit has no parameterized gate")
-    return circ
+    return circuit(n_qubits, gates)
 
 
 def _hamiltonian_from_json(terms, n_qubits: int) -> PauliHamiltonian:

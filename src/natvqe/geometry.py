@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .observables import SpectralDecomposition
-from .states import AnsatzCircuit, check_real, state_and_tangents
+from .states import AnsatzCircuit, check_numbers, check_real, state_and_tangents
 
 __all__ = [
     "MetricMatrix",
@@ -65,7 +65,7 @@ class MetricMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = check_numbers(self.values, "metric entry")
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("metric must be a square matrix")
         if vals.shape[0] == 0:
@@ -181,7 +181,7 @@ def entanglement_entropy(state: np.ndarray) -> float:
     ``state`` holds the 4 amplitudes.  Zero exactly on product states, log 2 on
     maximally entangled ones.
     """
-    amps = np.asarray(state, dtype=complex)
+    amps = check_numbers(state, "amplitude", complex)
     if amps.shape != (4,):
         raise ValueError("entanglement entropy is defined here for exactly 2 qubits")
     if not abs(np.vdot(amps, amps).real - 1.0) <= 1e-10:  # NaN fails

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import MAX_QUBITS, AnsatzCircuit, check_integer, check_real, state_and_tangents
+from .states import (MAX_QUBITS, AnsatzCircuit, check_integer, check_numbers, check_real,
+                     state_and_tangents)
 
 __all__ = [
     "PauliHamiltonian",
@@ -97,7 +98,7 @@ def _real_expectation(vec: np.ndarray, matvec: np.ndarray, tol: float) -> float:
 
 def energy(hamiltonian: PauliHamiltonian, state: np.ndarray) -> float:
     """Mean energy <phi|H|phi> of a state given by its 2**n amplitudes."""
-    vec = np.asarray(state, dtype=complex)
+    vec = check_numbers(state, "amplitude", complex)
     if vec.shape != (2 ** hamiltonian.n_qubits,):
         raise ValueError(
             f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has shape {vec.shape}"
@@ -199,7 +200,7 @@ def outcome_distribution(decomposition: SpectralDecomposition, state: np.ndarray
     Read off the eigenbasis coefficients of phi (``SpectralDecomposition.expand``):
     one d x d product for all outcomes, the same p the classical Fisher metric uses.
     """
-    p = decomposition.expand(np.asarray(state, dtype=complex))[1]
+    p = decomposition.expand(check_numbers(state, "amplitude", complex))[1]
     if not (p.min() >= -1e-10 and p.max() <= 1.0 + 1e-10):
         raise ValueError("probabilities must lie in [0, 1]")
     if not abs(p.sum() - 1.0) <= 1e-10:

@@ -29,7 +29,7 @@ from .geometry import (
     ite_matrix,
 )
 from .observables import PauliHamiltonian, energy_and_gradient, spectral_decompose
-from .states import AnsatzCircuit, check_parameters, check_real
+from .states import AnsatzCircuit, check_numbers, check_parameters, check_real
 
 __all__ = [
     "OptimizerKind",
@@ -180,7 +180,7 @@ def solve_regularized(
 ) -> np.ndarray:
     """Solve M x = g through a regularization policy, guarding singular M: every
     policy is a divisor d of M's eigenvalues w, and x = V (V^T g / d) for M = V diag(w) V^T."""
-    g = np.asarray(grad, dtype=float)
+    g = check_numbers(grad, "gradient entry")
     if g.shape != (metric.dim,):
         raise ValueError(f"gradient shape {g.shape} does not match metric dim {metric.dim}")
     w, v = np.linalg.eigh(metric.values)
@@ -230,7 +230,7 @@ def run(
     check_limits(max_steps, grad_tol)
     if circ.n_params == 0:
         raise ValueError("circuit has no parameters to optimize")
-    theta = check_parameters(circ, theta0)
+    theta = check_parameters(circ, theta0, "theta0 entry")
     steps: list[TrajectoryStep] = []
     k = 0
     # An iterate is a few microseconds of arithmetic on m <= ~40 numbers, so its

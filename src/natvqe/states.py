@@ -39,9 +39,9 @@ stacked product with the generators for the derivatives, bit for bit the
 matrices that building each gate alone gives.
 
 A state is its read-only complex amplitude array, of length 2**n.  Every
-circuit also keeps its last ``state_and_tangents`` result, keyed by the bytes
-of theta, so the energy, gradient and metrics at one point share a single
-sweep.
+circuit also keeps its last ``state_and_tangents`` result, keyed only by the
+bytes of a float theta (any other input passes ``check_parameters`` first), so
+the energy, gradient and metrics at one point share a single sweep.
 """
 from __future__ import annotations
 
@@ -66,6 +66,7 @@ __all__ = [
     "circuit",
     "check_integer",
     "check_real",
+    "check_numbers",
     "check_parameters",
     "state_and_tangents",
     "build_state",
@@ -107,10 +108,17 @@ def check_real(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, copy=True)
-    out.setflags(write=False)
-    return out
+def check_numbers(values, what: str, dtype: type = float) -> np.ndarray:
+    """``values`` as a ``dtype`` (float or complex) array: an int or float ndarray (or complex, for
+    complex) is cast, and passes untouched if it has ``dtype``; any other input is cast after each
+    entry passes ``check_real`` (or is complex, for complex), so a bool or a string is refused."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iufc" if dtype is complex else "iuf"):
+        return values if values.dtype == dtype else values.astype(dtype)
+    arr = np.asarray(values, dtype=object)
+    for x in arr.flat:
+        if not (dtype is complex and isinstance(x, (complex, np.complexfloating))):
+            check_real(x, what)
+    return arr.astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +156,15 @@ class Gate:
         # fixed unitary
         if self.matrix is None:
             raise ValueError("unitary gate requires an explicit matrix")
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(check_numbers(self.matrix, "matrix entry", complex))  # a copy, frozen below
         dim = 2 ** len(self.targets)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not fit {len(self.targets)} qubit(s)")
         with np.errstate(invalid="ignore"):  # a NaN or infinite entry fails the check
             if not np.max(np.abs(mat @ mat.conj().T - np.eye(dim))) <= 1e-12:
                 raise ValueError("matrix is not unitary")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
 
 def ry(target: int, param_index: int) -> Gate:
@@ -230,9 +239,10 @@ def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
     return AnsatzCircuit(n_qubits, tuple(gates))
 
 
-def check_parameters(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
-    """Validate a parameter vector against a circuit and return it as a float array."""
-    arr = np.asarray(theta, dtype=float)
+def check_parameters(circ: AnsatzCircuit, theta: Sequence[float], what="theta entry") -> np.ndarray:
+    """Validate a parameter vector against a circuit and return it as a float array, whose
+    entries pass ``check_numbers`` as ``what``; the sweep memo is keyed only on such an array."""
+    arr = check_numbers(theta, what)
     if arr.shape != (circ.n_params,):
         raise ValueError(f"circuit takes {circ.n_params} parameter(s), got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -347,7 +357,8 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     the gate is applied.  The circuit remembers the last result, so asking
     again at the same theta (the same bytes) returns the same arrays.
     """
-    theta = np.asarray(theta, dtype=float)
+    if not (isinstance(theta, np.ndarray) and theta.dtype == float):
+        theta = check_parameters(circ, theta)  # the memo answers only validated bytes
     key = theta.tobytes()
     memo = circ._memo
     # a stored key was finite when it was stored; the shape test comes first

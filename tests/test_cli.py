@@ -427,6 +427,16 @@ class TestMetricCommand:
         assert main(["metric", "--preset", "h2-a", "--theta", "0.1,0.2"]) == 2
         assert "takes 4 parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("theta0", ["-0.2", -0.2, 0.0, True], "theta0 entry must be a number, got '-0.2'"),
+        ("circuit", {"n_qubits": 2, "gates": [{"kind": "cnot", "targets": [0, 1]}]},
+         "circuit has no parameterized gate"),
+    ], ids=["text-theta0", "no-parameter-slot"])
+    def test_problem_refusal_is_config_error(self, tmp_path, capsys, field, value, message):
+        doc = dict(CUSTOM_CONFIG, **{field: value})
+        assert main(["metric", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err.strip().endswith(f"bad config file: {message}")
+
     @pytest.mark.parametrize("theta", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
     def test_non_finite_theta_is_config_error(self, theta, capsys):
         assert main(["metric", "--preset", "h2-a", "--theta", theta]) == 2

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from natvqe import (
     ConstantRate,
@@ -18,6 +19,7 @@ from natvqe import (
     circuit,
     cnot,
     compare,
+    fixed_unitary,
     load_preset,
     pauli_sum,
     run,
@@ -254,6 +256,13 @@ class TestProblemJson:
         assert Problem.from_json(doc, "h2-a").to_json() == doc
         assert doc["eta"] == float(f(0.05)) and doc["theta0"] == [float(f(-0.2))] * 2 + [0.0] * 2
 
+    def test_circuit_without_a_parameter_slot_rejected(self):
+        # it used to build, but from_json refused its to_json() and compare failed inside run
+        fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]]), 0)])
+        with pytest.raises(ValueError) as info:
+            Problem("x", pauli_sum(1, [(1.0, "X")]), fixed_only, (), 0.05, 10)
+        assert str(info.value) == "circuit has no parameterized gate"
+
     @pytest.mark.parametrize("gate, field", [
         ({"kind": "unitary", "targets": [0]}, "matrix"),
         ({"kind": "ry", "param_index": 0}, "targets"),
@@ -279,6 +288,43 @@ class TestProblemJson:
         assert message == ("bad config file: bad unitary matrix in gate 2: "
                            "matrix entry is too large for a float")
         assert len(message) < 200
+
+
+def any_number(rng, value, whole=False):
+    """``value`` as a Python or numpy float, or for a ``whole`` value also as an int type."""
+    types = (float, np.float64, np.float32) + ((int, np.int64, np.int32) if whole else ())
+    return types[int(rng.integers(len(types)))](value)
+
+
+class TestRoundTripProperty:
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_every_problem_that_builds_reads_back_gate_for_gate(self, seed):
+        # numpy integers, numpy floats and circuits without a parameter slot each built
+        # a Problem whose document from_json refused
+        rng = np.random.default_rng(seed)
+        circ = random_circuit(rng)
+        if rng.random() < 0.2:  # the fixed gates alone
+            circ = circuit(circ.n_qubits, [g for g in circ.gates if g.param_index is None])
+        n = circ.n_qubits
+        terms = [(any_number(rng, rng.integers(-3, 4), whole=True) if rng.random() < 0.3
+                  else any_number(rng, rng.uniform(-1, 1)), "".join(rng.choice(list("IXYZ"), n)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        theta0 = [any_number(rng, rng.uniform(-np.pi, np.pi)) for _ in range(circ.n_params)]
+        container = (tuple, list, np.array)[int(rng.integers(3))]
+        eta = any_number(rng, rng.uniform(0.01, 0.2))
+        max_steps = any_number(rng, rng.integers(1, 500), whole=True)
+        try:
+            problem = Problem("p", pauli_sum(n, terms), circ, container(theta0), eta, max_steps)
+        except ValueError as exc:
+            assert circ.n_params == 0 and str(exc) == "circuit has no parameterized gate"
+            return
+        doc = json.loads(json.dumps(problem.to_json()))
+        rebuilt = Problem.from_json(doc, "p")
+        assert gate_layout(rebuilt.circuit) == gate_layout(problem.circuit)
+        assert rebuilt.hamiltonian == problem.hamiltonian
+        assert np.array(rebuilt.theta0).tobytes() == np.array(problem.theta0).tobytes()
+        assert (rebuilt.eta, rebuilt.max_steps) == (problem.eta, problem.max_steps)
+        assert rebuilt.to_json() == doc
 
 
 def test_reference_is_eigvalsh_bit_for_bit():

@@ -352,6 +352,22 @@ class TestEntanglementEntropy:
             with pytest.raises(ValueError, match="2 qubits"):
                 entanglement_entropy(state)
 
+    @pytest.mark.parametrize("state, shown", [
+        ([True, 0, 0, 0], "True"),
+        (["1", "0", "0", "0"], "'1'"),
+        (np.array([True, False, False, False]), "True"),
+    ], ids=["bool", "text", "numpy-bool"])
+    def test_bool_and_text_amplitudes_rejected(self, state, shown):
+        # these used to read as the product state [1, 0, 0, 0]
+        with pytest.raises(ValueError) as info:
+            entanglement_entropy(state)
+        assert str(info.value) == f"amplitude must be a number, got {shown}"
+
+    def test_int_float_and_complex_amplitudes_accepted(self):
+        assert entanglement_entropy([1, 0, 0, 0]) == 0.0
+        bell = [1 / math.sqrt(2), 0, 0, 1j / math.sqrt(2)]
+        assert abs(entanglement_entropy(bell) - math.log(2)) < 1e-12
+
     def test_unnormalized_rejected(self):
         # unchecked, [inf, 0, 0, 0] reads as a product state and [nan, 0, 0, 0] fails in the SVD
         for state in ([1, 1, 0, 0], [np.inf, 0, 0, 0], [np.nan, 0, 0, 0]):
@@ -414,6 +430,22 @@ class TestMetricMatrixValidation:
             MetricMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="symmetric"):
             MetricMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("values, shown", [
+        ([["1", "0"], ["0", "1"]], "'1'"),
+        (np.array([["1", "0"], ["0", "1"]]), "'1'"),
+        (np.eye(2, dtype=bool), "True"),
+        ([[1.0, False], [False, 1.0]], "False"),
+    ], ids=["text", "numpy-text", "numpy-bool", "bool-entries"])
+    def test_bool_and_text_entries_rejected(self, values, shown):
+        # these used to validate as the identity through numpy's float cast
+        with pytest.raises(ValueError) as info:
+            MetricMatrix(values)
+        assert str(info.value) == f"metric entry must be a number, got {shown}"
+
+    def test_int_entries_accepted(self):
+        metric = MetricMatrix([[1, 0], [np.int64(0), 2]])
+        assert metric.values.dtype == float and metric.values.tolist() == [[1.0, 0.0], [0.0, 2.0]]
 
     def test_indefinite_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="semidefinite"):

@@ -79,6 +79,28 @@ class TestEnergy:
         assert decomp.eigenvalues[0] - 1e-12 <= value <= decomp.eigenvalues[-1] + 1e-12
 
 
+    @pytest.mark.parametrize("state, shown", [
+        (["1", "0"], "'1'"),
+        ([True, False], "True"),
+        (np.array(["1", "0"]), "'1'"),
+        (np.array([True, False]), "True"),
+    ], ids=["text", "bool", "numpy-text", "numpy-bool"])
+    def test_bool_and_text_amplitudes_rejected(self, state, shown):
+        # ["1", "0"] used to read as |0>, with energy 0.0 and p = [0.5, 0.5]
+        h = sigma_x_hamiltonian()
+        for read in (lambda s: energy(h, s), lambda s: outcome_distribution(spectral_decompose(h), s)):
+            with pytest.raises(ValueError) as info:
+                read(state)
+            assert str(info.value) == f"amplitude must be a number, got {shown}"
+
+    def test_int_float_and_complex_amplitudes_accepted(self):
+        h = sigma_x_hamiltonian()
+        plus_i = [1 / math.sqrt(2), 1j / math.sqrt(2)]
+        for state in ([1, 0], [np.int64(0), 1.0], plus_i, np.array([0, 1j], dtype=np.complex64)):
+            assert abs(energy(h, state)) < 1e-15
+            assert outcome_distribution(spectral_decompose(h), state).dtype == float
+
+
 class TestEnergyGradient:
     def test_single_qubit_value(self, single_qubit):
         circ, h = single_qubit

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from natvqe import (
+    DEFAULT_POLICY,
     ConstantRate,
     EigenFloor,
     InverseStepRate,
@@ -97,6 +98,21 @@ class TestSolveRegularized:
     def test_gradient_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             solve_regularized(metric_of(np.eye(2)), [1.0, 2.0, 3.0], EigenFloor(1e-10))
+
+    @pytest.mark.parametrize("grad, shown", [
+        ([True, False], "True"),
+        (["1", "0"], "'1'"),
+        (np.array(["1", "0"]), "'1'"),
+    ], ids=["bool", "text", "numpy-text"])
+    def test_bool_and_text_gradient_rejected(self, grad, shown):
+        # [True, False] used to be solved as [1.0, 0.0]
+        with pytest.raises(ValueError) as info:
+            solve_regularized(metric_of(np.eye(2)), grad, DEFAULT_POLICY)
+        assert str(info.value) == f"gradient entry must be a number, got {shown}"
+
+    def test_int_gradient_solved_as_floats(self):
+        x = solve_regularized(metric_of(np.diag([2.0, 4.0])), [1, np.int64(2)], DEFAULT_POLICY)
+        assert x.tolist() == [0.5, 0.5]
 
     def test_nonpositive_strength_rejected(self):
         with pytest.raises(ValueError, match="positive"):

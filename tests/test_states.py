@@ -6,10 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from natvqe import build_state, circuit, cnot, fixed_unitary, phase, ry, state_and_tangents
+from natvqe import (
+    ConstantRate,
+    OptimizerKind,
+    build_state,
+    circuit,
+    classical_fisher_metric,
+    cnot,
+    energy_and_gradient,
+    fixed_unitary,
+    fubini_study_metric,
+    ite_matrix,
+    phase,
+    ry,
+    run,
+    spectral_decompose,
+    state_and_tangents,
+)
 from natvqe.experiments import hardware_efficient_ansatz, single_qubit_ansatz
 from natvqe.observables import pauli_sum
-from natvqe.states import MAX_QUBITS, AnsatzCircuit, Gate, GateKind
+from natvqe.states import MAX_QUBITS, AnsatzCircuit, Gate, GateKind, check_numbers, check_parameters
 
 angle = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 
@@ -138,6 +154,23 @@ class TestCircuitValidation:
         for entry in (1, np.nan, np.inf):
             with pytest.raises(ValueError, match="unitary"):
                 fixed_unitary(np.array([[1, entry], [0, 1]], dtype=complex), 0)
+
+    @pytest.mark.parametrize("matrix, shown", [
+        ([["1", "0"], ["0", "1"]], "'1'"),
+        (np.array([["0", "1"], ["1", "0"]]), "'0'"),
+        (np.eye(2, dtype=bool), "True"),
+    ], ids=["text", "numpy-text", "numpy-bool"])
+    def test_bool_and_text_matrix_entries_rejected(self, matrix, shown):
+        # these used to build through numpy's complex cast
+        with pytest.raises(ValueError) as info:
+            fixed_unitary(matrix, 0)
+        assert str(info.value) == f"matrix entry must be a number, got {shown}"
+
+    def test_matrix_is_a_frozen_copy(self):
+        matrix = np.array([[0, 1], [1, 0]], dtype=complex)
+        gate = fixed_unitary(matrix, 0)
+        matrix[0, 0] = 1.0
+        assert gate.matrix.tolist() == [[0, 1], [1, 0]] and not gate.matrix.flags.writeable
 
     def test_unused_parameter_slot_rejected(self):
         with pytest.raises(ValueError, match="never used"):
@@ -478,6 +511,15 @@ class TestSweepMemo:
         with pytest.raises(ValueError, match=r"takes 4 parameter\(s\), got shape \(2, 2\)"):
             state_and_tangents(circ, theta.reshape(2, 2))
 
+    def test_string_theta_with_the_remembered_value_rejected(self):
+        # the memo used to answer ["0.3", "0.2"] from the bytes of its float cast
+        circ = single_qubit_ansatz()
+        state_and_tangents(circ, np.array([0.3, 0.2]))
+        for text in (["0.3", "0.2"], np.array(["0.3", "0.2"])):
+            with pytest.raises(ValueError) as info:
+                state_and_tangents(circ, text)
+            assert str(info.value) == "theta entry must be a number, got '0.3'"
+
     def test_circuit_is_freed_after_use(self):
         # plan and memo live on the circuit; nothing else keeps it alive
         circ = repeated_param_circuit()
@@ -486,3 +528,65 @@ class TestSweepMemo:
         ref = weakref.ref(circ)
         del circ
         assert ref() is None
+
+
+class TestNumberRule:
+    """``check_numbers``: the one rule for the real and complex arrays the API takes."""
+
+    @pytest.mark.parametrize("dtype, values", [
+        (float, np.array([0.1, -0.2])),
+        (complex, np.array([0.6, 0.8j])),
+    ])
+    def test_an_array_of_the_dtype_passes_untouched(self, dtype, values):
+        assert check_numbers(values, "entry", dtype) is values
+
+    def test_float_theta_is_returned_as_it_is(self):
+        theta = np.array([0.1, -0.2])
+        assert check_parameters(single_qubit_ansatz(), theta) is theta
+
+    @pytest.mark.parametrize("values", [
+        [1, np.int64(-2), np.int32(3)],
+        [1.5, np.float32(0.25), np.float64(-0.5)],
+        np.array([1, 2], dtype=np.int8),
+        np.array([0.5, 0.25], dtype=np.float32),
+    ], ids=["ints", "floats", "int8-array", "float32-array"])
+    def test_ints_and_floats_are_cast_like_numpy(self, values):
+        for dtype in (float, complex):
+            out = check_numbers(values, "entry", dtype)
+            assert out.dtype == dtype
+            assert out.tobytes() == np.asarray(values, dtype=dtype).tobytes()
+
+    def test_complex_entries_pass_only_as_complex(self):
+        values = [0.6, 0.8j, np.complex64(1j), 1]
+        assert check_numbers(values, "amplitude", complex).tobytes() == \
+            np.asarray(values, dtype=complex).tobytes()
+        for entries, shown in ((values, "0.8j"), (np.array(values), "(0.6+0j)")):
+            with pytest.raises(ValueError) as info:
+                check_numbers(entries, "theta entry")
+            assert str(info.value) == f"theta entry must be a number, got {shown}"
+
+    @pytest.mark.parametrize("values, shown", [
+        (["0.1", True], "'0.1'"),
+        (np.array(["0.1", "0.2"]), "'0.1'"),
+        (np.array([True, False]), "True"),
+        ([0.1, np.True_], repr(np.True_)),
+    ], ids=["text-and-bool", "numpy-text", "numpy-bool", "numpy-bool-entry"])
+    def test_bools_and_text_refused_by_every_theta_reader(self, values, shown):
+        # each of these used to run from numpy's float cast, ["0.1", True] from (0.1, 1.0)
+        circ, h = single_qubit_ansatz(), pauli_sum(1, [(1.0, "X")])
+        readers = [
+            lambda t: build_state(circ, t),
+            lambda t: state_and_tangents(circ, t),
+            lambda t: energy_and_gradient(h, circ, t),
+            lambda t: fubini_study_metric(circ, t),
+            lambda t: ite_matrix(circ, t),
+            lambda t: classical_fisher_metric(circ, t, spectral_decompose(h)),
+        ]
+        for read in readers:
+            build_state(circ, np.asarray(values, dtype=float))  # the memo holds the cast's bytes
+            with pytest.raises(ValueError) as info:
+                read(values)
+            assert str(info.value) == f"theta entry must be a number, got {shown}"
+        with pytest.raises(ValueError) as info:
+            run(OptimizerKind.VANILLA, h, circ, values, ConstantRate(0.05), max_steps=2)
+        assert str(info.value) == f"theta0 entry must be a number, got {shown}"
