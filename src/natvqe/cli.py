@@ -37,20 +37,9 @@ import numpy as np
 
 from .experiments import PRESET_NAMES, Problem, hardware_efficient_ansatz, load_preset
 from .geometry import DEFAULT_RANK_TOL, MetricMatrix, check_tolerance, singularity_report
-from .optimizers import (
-    DEFAULT_POLICY,
-    ConstantRate,
-    EigenFloor,
-    InverseStepRate,
-    OptimizerKind,
-    PseudoInverse,
-    Tikhonov,
-    Trajectory,
-    TrajectoryStep,
-    check_limits,
-    metric_for,
-    run,
-)
+from .optimizers import (DEFAULT_POLICY, ConstantRate, EigenFloor, InverseStepRate, OptimizerKind,
+                         PseudoInverse, Tikhonov, Trajectory, TrajectoryStep, check_limits,
+                         metric_for, run)
 from .states import AnsatzCircuit, check_parameters
 from .svgplot import line_plot
 
@@ -119,8 +108,13 @@ def _parse_optimizers(text: str) -> list[OptimizerKind]:
 
 
 def _parse_theta(text: str, circ: AnsatzCircuit) -> np.ndarray:
+    """The entries as a JSON list, checked as a config file's theta0 is."""
     try:
-        return check_parameters(circ, [float(x) for x in text.split(",")])
+        entries = json.loads(f"[{text}]")
+    except (ValueError, RecursionError):  # not JSON, or nested past the recursion limit
+        raise ConfigError(f"bad theta {text!r}: each entry must be a finite JSON number") from None
+    try:
+        return check_parameters(circ, entries)
     except ValueError as exc:
         raise ConfigError(f"bad theta {text!r}: {exc}") from exc
 
@@ -272,7 +266,7 @@ def _is_two_layer_ansatz(circ: AnsatzCircuit) -> bool:
 def cmd_metric(args) -> int:
     problem = _problem_from_args(args)
     circ = problem.circuit
-    theta = _parse_theta(args.theta, circ) if args.theta else problem.theta0
+    theta = problem.theta0 if args.theta is None else _parse_theta(args.theta, circ)
     try:
         check_tolerance(args.rank_tol, "rank_tol")
     except ValueError as exc:

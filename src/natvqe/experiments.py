@@ -116,8 +116,6 @@ class Problem:
         if self.hamiltonian.n_qubits != self.circuit.n_qubits:
             raise ValueError(f"hamiltonian acts on {self.hamiltonian.n_qubits} qubit(s), "
                              f"circuit on {self.circuit.n_qubits}")
-        if self.circuit.n_params == 0:
-            raise ValueError("circuit has no parameterized gate")
         theta0 = check_parameters(self.circuit, self.theta0, "theta0 entry")
         object.__setattr__(self, "theta0", tuple(theta0.tolist()))
         object.__setattr__(self, "eta", ConstantRate(self.eta).eta)  # the schedule's own check

@@ -1,7 +1,7 @@
 """Parameter-space geometry of an ansatz: metric matrices and diagnostics.
 
-Three real symmetric m x m matrices are computed from the exact derivative
-states of a circuit:
+Three real symmetric m x m matrices are read off one evaluated point, the
+state phi and its exact derivatives (``states.state_and_tangents``):
 
 * the Fubini-Study (quantum Fisher) metric
   ``F_ij = Re<d_i phi|d_j phi> - Re(<d_i phi|phi><phi|d_j phi>)``,
@@ -13,6 +13,12 @@ states of a circuit:
   block sums of |c_j|^2 and 2 Re(W_j c_j) over the eigenvectors j of outcome i.
   That is two matrix products, O(m d^2), whatever the number of outcomes K;
   summing over the K projectors costs O(K m d^2).
+
+Each formula has one home, a private read-off of ``(phi, tangents)``:
+``_fubini_study`` and ``_ite`` share ``_gram``, and ``_classical_fisher`` adds
+the decomposition.  F and A also read a stack ``(B, d)``, ``(B, m, d)`` and
+give each point the bits of its own call; FC keeps outcomes per point, so it
+reads one.  Each public function is one sweep plus one read-off.
 
 Rank deficiency of these matrices marks singular parameter points: directions
 along which the state (or the outcome distribution) does not move.
@@ -89,47 +95,32 @@ class MetricMatrix:
 
 
 def _symmetrized(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
-def fubini_study_metric(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMatrix:
-    """Fubini-Study metric of the circuit family at theta.
+def _gram(bras: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Re<d_i phi|d_j phi>, unsymmetrized, from the tangents and their conjugates ``bras``."""
+    return (bras @ tangents.swapaxes(-1, -2)).real
 
-    The cross term <d_i phi|phi><phi|d_j phi> is complex in general; its real
-    part is what enters the real symmetric metric (the imaginary part cancels
-    between (i, j) and (j, i)).
-    """
-    phi, tangents = state_and_tangents(circ, theta)
+
+def _fubini_study(phi: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """F: the Gram matrix less the real part of <d_i phi|phi><phi|d_j phi> (whose
+    imaginary part cancels between (i, j) and (j, i))."""
     bras = tangents.conj()
-    overlap = bras @ phi
+    overlap = bras @ phi[..., None]
     # np.outer's own product: with a 1-d right operand, m = 1 rounds differently in the last bit
-    values = (bras @ tangents.T).real - (overlap[:, None] * overlap.conj()[None, :]).real
-    return MetricMatrix(_symmetrized(values))
+    return _symmetrized(_gram(bras, tangents) - (overlap * overlap.conj().swapaxes(-1, -2)).real)
 
 
-def ite_matrix(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMatrix:
-    """Gram matrix Re<d_i phi|d_j phi> used by the imaginary-time-evolution update."""
-    _, tangents = state_and_tangents(circ, theta)
-    values = (tangents.conj() @ tangents.T).real
-    return MetricMatrix(_symmetrized(values))
+def _ite(tangents: np.ndarray) -> np.ndarray:
+    return _symmetrized(_gram(tangents.conj(), tangents))
 
 
-def classical_fisher_metric(
-    circ: AnsatzCircuit,
-    theta: Sequence[float],
-    decomposition: SpectralDecomposition,
-) -> MetricMatrix:
-    """Fisher information of the outcome distribution p_i(theta) = <phi|E_i|phi>.
-
-    Outcomes with p_i <= PROB_FLOOR are excluded from the sum (their 1/p_i
-    weight diverges).  If fewer than two outcomes survive, the distribution is
-    degenerate and the metric is undefined.
-
-    p and dp = 2 Re<d phi|E_i|phi> are read off the decomposition's eigenbasis
-    (see the module docstring): one m x d by d x d product and a block sum,
-    then one m x K by K x m product, in place of a pass over each projector.
-    """
-    phi, tangents = state_and_tangents(circ, theta)
+def _classical_fisher(phi: np.ndarray, tangents: np.ndarray,
+                      decomposition: SpectralDecomposition) -> np.ndarray:
+    """p and dp = 2 Re<d phi|E_i|phi> of one point are read off the decomposition's
+    eigenbasis (see the module docstring): one m x d by d x d product and a block
+    sum, then one m x K by K x m product, in place of a pass over each projector."""
     coeffs, p = decomposition.expand(phi)
     overlaps = ((tangents.conj() @ decomposition.basis) * coeffs).real
     dp = 2.0 * np.add.reduceat(overlaps, decomposition.starts, axis=1)
@@ -137,8 +128,28 @@ def classical_fisher_metric(
     if np.count_nonzero(kept) < 2:
         raise MetricUndefinedError("metric undefined: degenerate distribution")
     dp = dp[:, kept]
-    values = (dp / p[kept]) @ dp.T
-    return MetricMatrix(_symmetrized(values))
+    return _symmetrized((dp / p[kept]) @ dp.T)
+
+
+def fubini_study_metric(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMatrix:
+    """Fubini-Study metric of the circuit family at theta."""
+    return MetricMatrix(_fubini_study(*state_and_tangents(circ, theta)))
+
+
+def ite_matrix(circ: AnsatzCircuit, theta: Sequence[float]) -> MetricMatrix:
+    """Gram matrix Re<d_i phi|d_j phi> used by the imaginary-time-evolution update."""
+    return MetricMatrix(_ite(state_and_tangents(circ, theta)[1]))
+
+
+def classical_fisher_metric(circ: AnsatzCircuit, theta: Sequence[float],
+                            decomposition: SpectralDecomposition) -> MetricMatrix:
+    """Fisher information of the outcome distribution p_i(theta) = <phi|E_i|phi>.
+
+    Outcomes with p_i <= PROB_FLOOR are excluded from the sum (their 1/p_i
+    weight diverges).  If fewer than two outcomes survive, the distribution is
+    degenerate and the metric is undefined.
+    """
+    return MetricMatrix(_classical_fisher(*state_and_tangents(circ, theta), decomposition))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@
 
 Hamiltonians are real-weighted sums of Pauli tensor products, materialized
 densely (the design envelope is a handful of qubits).  States are amplitude
-arrays of length 2**n, as ``states.build_state`` returns them.  The spectral
-decomposition groups the eigenvectors of H into one orthonormal basis, one
-column block per distinct eigenvalue, so the measurement-outcome distribution
-p_i = <phi|E_i|phi> is well defined even with degeneracies.  The basis is the
-decomposition: it is validated by one O(d^3) orthonormality check and kept in
-O(d^2) memory; no projector E_i is ever formed.
+arrays of length 2**n, as ``states.build_state`` returns them.  The energy and
+gradient have one home, ``_energy_and_gradient``, a read-off of one point
+``(phi, tangents)`` or of a stack; ``energy`` shares its expectation.  The
+spectral decomposition groups the eigenvectors of H into one orthonormal
+basis, one column block per distinct eigenvalue, so the measurement-outcome
+distribution p_i = <phi|E_i|phi> is well defined even with degeneracies.  The
+basis is the decomposition: it is validated by one O(d^3) orthonormality check
+and kept in O(d^2) memory; no projector E_i is ever formed.
 """
 from __future__ import annotations
 
@@ -89,40 +91,42 @@ def _imag_tol(hamiltonian: PauliHamiltonian) -> float:
     return ENERGY_IMAG_TOL * max(1.0, sum(abs(coeff) for coeff, _ in hamiltonian.terms))
 
 
-def _real_expectation(vec: np.ndarray, matvec: np.ndarray, tol: float) -> float:
-    value = complex(np.vdot(vec, matvec))
-    if abs(value.imag) >= tol:
-        raise ArithmeticError(f"expectation has imaginary residue {value.imag:.3e}")
-    return value.real
+def _expectation(hamiltonian: PauliHamiltonian, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<phi|H|phi> (real) and the column H|phi> of a state (d,), or of each state of a stack (B, d)."""
+    hphi = dense_matrix(hamiltonian) @ phi[..., None]
+    value = (phi.conj()[..., None, :] @ hphi)[..., 0, 0]
+    residue = max(value.imag.flat, key=abs)  # Python's max: numpy's costs a microsecond more
+    if abs(residue) >= _imag_tol(hamiltonian):
+        raise ArithmeticError(f"expectation has imaginary residue {residue:.3e}")
+    return value.real, hphi
+
+
+def _energy_and_gradient(hamiltonian: PauliHamiltonian, phi: np.ndarray,
+                         tangents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energy and gradient of a point (d,), (m, d), or of each point of a stack (B, d),
+    (B, m, d), with its own bits.  Component i of the gradient is 2*Re <d_i phi|H|phi>,
+    which is the exact df/d(theta_i) for a unitary family."""
+    value, hphi = _expectation(hamiltonian, phi)
+    return value, 2.0 * (tangents.conj() @ hphi)[..., 0].real
 
 
 def energy(hamiltonian: PauliHamiltonian, state: np.ndarray) -> float:
     """Mean energy <phi|H|phi> of a state given by its 2**n amplitudes."""
     vec = check_numbers(state, "amplitude", complex)
     if vec.shape != (2 ** hamiltonian.n_qubits,):
-        raise ValueError(
-            f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has shape {vec.shape}"
-        )
-    return _real_expectation(vec, dense_matrix(hamiltonian) @ vec, _imag_tol(hamiltonian))
+        raise ValueError(f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), "
+                         f"state has shape {vec.shape}")
+    return float(_expectation(hamiltonian, vec)[0])
 
 
-def energy_and_gradient(
-    hamiltonian: PauliHamiltonian, circ: AnsatzCircuit, theta: Sequence[float]
-) -> tuple[float, np.ndarray]:
-    """Energy f(theta) and its exact gradient in one statevector sweep.
-
-    Component i of the gradient is 2*Re <d_i phi|H|phi>, which is the exact
-    df/d(theta_i) for a unitary family.
-    """
+def energy_and_gradient(hamiltonian: PauliHamiltonian, circ: AnsatzCircuit,
+                        theta: Sequence[float]) -> tuple[float, np.ndarray]:
+    """Energy f(theta) and its exact gradient in one statevector sweep."""
     if hamiltonian.n_qubits != circ.n_qubits:
-        raise ValueError(
-            f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), state has {circ.n_qubits}"
-        )
-    phi, tangents = state_and_tangents(circ, theta)
-    hphi = dense_matrix(hamiltonian) @ phi
-    value = _real_expectation(phi, hphi, _imag_tol(hamiltonian))
-    grad = 2.0 * (tangents.conj() @ hphi).real
-    return value, grad
+        raise ValueError(f"hamiltonian acts on {hamiltonian.n_qubits} qubit(s), "
+                         f"state has {circ.n_qubits}")
+    value, grad = _energy_and_gradient(hamiltonian, *state_and_tangents(circ, theta))
+    return float(value), grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,13 +153,16 @@ class SpectralDecomposition:
     starts: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.eigenvalues, dtype=float)
+        # copies, frozen below: check_numbers passes a float (complex) array untouched
+        vals = np.array(check_numbers(self.eigenvalues, "eigenvalue"))
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d array")
         if not np.all(np.diff(vals) > 0):
             raise ValueError("eigenvalues must be strictly ascending")
-        starts = np.array(self.starts, dtype=np.intp)
-        basis = np.array(self.basis, dtype=complex)
+        starts = np.asarray(self.starts, dtype=object)
+        starts = np.array([check_integer(s, "start") for s in starts.flat],
+                          dtype=np.intp).reshape(starts.shape)
+        basis = np.array(check_numbers(self.basis, "basis entry", complex))
         if starts.shape != vals.shape or starts[0] != 0 or np.any(np.diff(starts) <= 0):
             raise ValueError("starts must ascend from 0, one per eigenvalue")
         dim = len(basis)
@@ -185,13 +192,9 @@ class SpectralDecomposition:
 def spectral_decompose(hamiltonian: PauliHamiltonian) -> SpectralDecomposition:
     """Eigenvalues and eigenbasis of H, merging eigenvalues within ``DEGENERACY_TOL``."""
     w, v = np.linalg.eigh(dense_matrix(hamiltonian))
-    boundaries = [0]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > DEGENERACY_TOL:
-            boundaries.append(i)
-    boundaries.append(len(w))
-    eigenvalues = [float(np.mean(w[lo:hi])) for lo, hi in zip(boundaries[:-1], boundaries[1:])]
-    return SpectralDecomposition(np.array(eigenvalues), v, np.array(boundaries[:-1]))
+    starts = [0, *(np.flatnonzero(np.diff(w) > DEGENERACY_TOL) + 1).tolist()]
+    eigenvalues = [float(np.mean(w[lo:hi])) for lo, hi in zip(starts, [*starts[1:], len(w)])]
+    return SpectralDecomposition(np.array(eigenvalues), v, np.array(starts))
 
 
 def outcome_distribution(decomposition: SpectralDecomposition, state: np.ndarray) -> np.ndarray:

@@ -21,13 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    MetricMatrix,
-    check_tolerance,
-    classical_fisher_metric,
-    fubini_study_metric,
-    ite_matrix,
-)
+from .geometry import (MetricMatrix, check_tolerance, classical_fisher_metric,
+                       fubini_study_metric, ite_matrix)
 from .observables import PauliHamiltonian, energy_and_gradient, spectral_decompose
 from .states import AnsatzCircuit, check_numbers, check_parameters, check_real
 
@@ -57,12 +52,8 @@ class OptimizerKind(Enum):
     NATURAL_CLASSICAL = "classical"  # classical Fisher metric
 
 
-def metric_for(
-    kind: OptimizerKind,
-    hamiltonian: PauliHamiltonian,
-    circ: AnsatzCircuit,
-    theta: Sequence[float],
-) -> MetricMatrix | None:
+def metric_for(kind: OptimizerKind, hamiltonian: PauliHamiltonian, circ: AnsatzCircuit,
+               theta: Sequence[float]) -> MetricMatrix | None:
     """The metric ``kind`` preconditions with at theta: None for VANILLA (M = identity).
 
     Only the classical Fisher metric reads ``hamiltonian``.  A ``kind`` that is not
@@ -228,8 +219,6 @@ def run(
     as soon as a non-finite parameter, energy, or gradient appears.
     """
     check_limits(max_steps, grad_tol)
-    if circ.n_params == 0:
-        raise ValueError("circuit has no parameters to optimize")
     theta = check_parameters(circ, theta0, "theta0 entry")
     steps: list[TrajectoryStep] = []
     k = 0

@@ -240,8 +240,10 @@ def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
 
 
 def check_parameters(circ: AnsatzCircuit, theta: Sequence[float], what="theta entry") -> np.ndarray:
-    """Validate a parameter vector against a circuit and return it as a float array, whose
-    entries pass ``check_numbers`` as ``what``; the sweep memo is keyed only on such an array."""
+    """Validate a parameter vector against a circuit that has a slot and return it as a float
+    array whose entries pass ``check_numbers`` as ``what``; the memo is keyed only on these."""
+    if circ.n_params == 0:
+        raise ValueError("circuit has no parameterized gate")
     arr = check_numbers(theta, what)
     if arr.shape != (circ.n_params,):
         raise ValueError(f"circuit takes {circ.n_params} parameter(s), got shape {arr.shape}")

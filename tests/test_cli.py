@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 import json
+import os
 import subprocess
 import sys
 import time
@@ -64,6 +65,14 @@ def with_gate(index, gate):
     return dict(CUSTOM_CONFIG["circuit"], gates=gates)
 
 
+def checkout_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``, so a child
+    process imports the natvqe under test, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_in_subprocess(tmp_path, doc, flags=()):
     """``natvqe run --config`` on ``doc`` in a fresh process that must exit 2 and write nothing;
     returns its standard error."""
@@ -71,7 +80,7 @@ def run_in_subprocess(tmp_path, doc, flags=()):
     proc = subprocess.run(
         [sys.executable, "-m", "natvqe.cli", "run", "--config", str(write_config(tmp_path, doc)),
          *flags, "--out-dir", str(out)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=checkout_env(),
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -442,6 +451,20 @@ class TestMetricCommand:
         assert main(["metric", "--preset", "h2-a", "--theta", theta]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta, message", [
+        ("1_0,0", "each entry must be a finite JSON number"),
+        ("true,0", "theta entry must be a number, got True"),
+        ("NaN,0", "parameters must be finite"),
+        ("", "circuit takes 2 parameter(s), got shape (0,)"),
+    ], ids=["digit-separator", "bool", "json-nan", "empty"])
+    def test_theta_entries_are_json_numbers(self, theta, message, capsys):
+        # float() read "1_0" as 10, so the metric printed at theta (10, 0) with exit 0, and an
+        # empty --theta printed it at the preset's theta0
+        assert main(["metric", "--preset", "qubit-a", "--theta", theta]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad theta {theta!r}: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("rank_tol", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("problem", [
         pytest.param(["--preset", "h2-a", "--kind", "fs"], id="fs"),
@@ -623,7 +646,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "natvqe.cli", "run", "--preset", "qubit-a",
          "--optimizer", "vanilla", "--steps", "3", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "qubit-a_vanilla.csv").exists()

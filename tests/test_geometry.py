@@ -37,7 +37,8 @@ from natvqe import (
     spectral_decompose,
     state_and_tangents,
 )
-from natvqe.experiments import hardware_efficient_ansatz, single_qubit_ansatz
+from natvqe import geometry, observables
+from natvqe.experiments import hardware_efficient_ansatz, load_preset, single_qubit_ansatz
 from natvqe.geometry import PROB_FLOOR, MetricMatrix
 from natvqe.observables import SpectralDecomposition, outcome_distribution
 from natvqe.optimizers import metric_for
@@ -422,7 +423,7 @@ class TestMetricMatrixValidation:
         with pytest.raises(ValueError, match="no parameters"):
             MetricMatrix(np.zeros((0, 0)))
         fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
-        with pytest.raises(ValueError, match="no parameters"):
+        with pytest.raises(ValueError, match="no parameterized gate"):
             fubini_study_metric(fixed_only, [])
 
     def test_asymmetric_rejected(self):
@@ -684,6 +685,45 @@ class TestMetricFor:
             assert metric.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
             computed += 1
         assert computed > 150
+
+
+# ---------------------------------------------------------------------------
+# The read-offs of a stack of points against the public functions at each point
+
+
+def assert_each_point_keeps_its_bits(circ, hamiltonian, thetas):
+    """The energy, gradient, F and A read off the stack (B, d), (B, m, d) of the points
+    ``thetas`` have, row by row, the bytes the public functions give at that point."""
+    points = [state_and_tangents(circ, theta) for theta in thetas]
+    phis, tangents = np.stack([p for p, _ in points]), np.stack([t for _, t in points])
+    energies, grads = observables._energy_and_gradient(hamiltonian, phis, tangents)
+    fs, grams = geometry._fubini_study(phis, tangents), geometry._ite(tangents)
+    size, m = len(thetas), circ.n_params
+    assert energies.shape == (size,) and grads.shape == (size, m)
+    assert fs.shape == grams.shape == (size, m, m)
+    for b, theta in enumerate(thetas):
+        value, grad = energy_and_gradient(hamiltonian, circ, theta)
+        assert same_bits(energies[b], value)
+        assert grads[b].tobytes() == grad.tobytes()
+        assert fs[b].tobytes() == fubini_study_metric(circ, theta).values.tobytes()
+        assert grams[b].tobytes() == ite_matrix(circ, theta).values.tobytes()
+
+
+class TestStackReadOffs:
+    @pytest.mark.parametrize("size", [2, 7, 50])
+    @pytest.mark.parametrize("name", ["qubit-a", "h2-a"])
+    def test_presets(self, name, size):
+        problem = load_preset(name)
+        thetas = np.random.default_rng(size).uniform(-np.pi, np.pi, (size, problem.circuit.n_params))
+        assert_each_point_keeps_its_bits(problem.circuit, problem.hamiltonian, thetas)
+
+    @given(problems(), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_random_circuits(self, problem, more, seed):
+        # the drawn point (often on multiples of pi/4) first, then seeded ones
+        circ, hamiltonian, theta = problem
+        rng = np.random.default_rng(seed)
+        thetas = np.vstack([theta, rng.uniform(-np.pi, np.pi, (more, circ.n_params))])
+        assert_each_point_keeps_its_bits(circ, hamiltonian, thetas)
 
 
 # ---------------------------------------------------------------------------

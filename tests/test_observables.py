@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from natvqe import (build_state, circuit, cnot, energy, energy_and_gradient, pauli_sum, phase, ry,
                     spectral_decompose)
+from natvqe import observables
 from natvqe.experiments import (
     h2_hamiltonian,
     hardware_efficient_ansatz,
@@ -133,6 +134,17 @@ class TestEnergyGradient:
         for _ in range(200):
             energy_and_gradient(h, circ, rng.uniform(-np.pi, np.pi, circ.n_params))
 
+    def test_imaginary_residue_is_checked_at_every_point_of_a_stack(self, monkeypatch):
+        # a non-Hermitian M in place of H: <phi|M|phi> is 0 at (1, 0) and i/2 at (1, i)/sqrt(2)
+        monkeypatch.setattr(observables, "dense_matrix", lambda _: np.array([[0, 2], [1, 0]], complex))
+        h = pauli_sum(1, [(1.0, "X")])
+        real, tilted = np.array([1, 0], dtype=complex), np.array([1, 1j]) / np.sqrt(2)
+        message = r"^expectation has imaginary residue 5\.000e-01$"
+        with pytest.raises(ArithmeticError, match=message):
+            energy(h, tilted)
+        with pytest.raises(ArithmeticError, match=message):
+            observables._energy_and_gradient(h, np.stack([real, tilted]), np.zeros((2, 1, 2), complex))
+
 
 class TestSpectralDecomposition:
     def test_sigma_x(self):
@@ -207,6 +219,18 @@ class TestSpectralDecompositionValidation:
     def test_basis_square_with_a_block_per_eigenvalue(self, basis):
         with pytest.raises(ValueError, match="square"):
             SpectralDecomposition([0.0, 1.0, 2.0], basis, [0, 1, 2])
+
+    @pytest.mark.parametrize("args, message", [
+        ((["-1", "1"], [["1", "0"], ["0", "1"]], [0, True]), "eigenvalue must be a number, got '-1'"),
+        (([-1.0, 1.0], [["1", "0"], ["0", "1"]], [0, 1]), "basis entry must be a number, got '1'"),
+        (([-1.0, 1.0], np.eye(2), [0, True]), "start must be an integer, got True"),
+        (([-1.0, 1.0], np.eye(2), [0.0, 1.7]), "start must be an integer, got 0.0"),
+    ], ids=["text-eigenvalues", "text-basis", "bool-start", "float-starts"])
+    def test_number_rule(self, args, message):
+        # numpy's casts built the first and truncated [0.0, 1.7] to [0, 1]
+        with pytest.raises(ValueError) as info:
+            SpectralDecomposition(*args)
+        assert str(info.value) == message
 
     def test_copies_the_callers_arrays(self):
         eigenvalues, basis, starts = np.array([0.0, 1.0]), np.eye(2, dtype=complex), np.array([0, 1])

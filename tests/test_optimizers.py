@@ -29,6 +29,7 @@ from natvqe import geometry, observables, optimizers, states
 from natvqe.geometry import MetricMatrix
 from natvqe.observables import energy_and_gradient
 from natvqe.optimizers import metric_for, solve_regularized
+from natvqe.states import build_state
 
 PI_12 = np.pi / 12
 
@@ -185,7 +186,7 @@ class TestStep:
 
         monkeypatch.setattr(optimizers, "energy_and_gradient", no_sweep)
         fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
-        with pytest.raises(ValueError, match="no parameters"):
+        with pytest.raises(ValueError, match="no parameterized gate"):
             step(kind, pauli_sum(1, [(1.0, "X")]), fixed_only, [], 0.05)
 
     @pytest.mark.parametrize("kind", [OptimizerKind.NATURAL_FS, OptimizerKind.ITE,
@@ -413,11 +414,18 @@ class TestRun:
                        max_steps=np.float32(3.0), grad_tol=np.float32(1e-6))
         assert [s.k for s in traj.steps] == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    @pytest.mark.parametrize("kind", [*OptimizerKind, energy_and_gradient, build_state])
     def test_circuit_without_parameters_rejected(self, kind):
+        # one rule, in check_parameters, for run and for every function of a point
         fixed_only = circuit(1, [fixed_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0)])
-        with pytest.raises(ValueError, match="no parameters"):
-            run(kind, pauli_sum(1, [(1.0, "X")]), fixed_only, [], ConstantRate(0.05), max_steps=3)
+        h = pauli_sum(1, [(1.0, "X")])
+        with pytest.raises(ValueError, match="^circuit has no parameterized gate$"):
+            if kind is build_state:
+                build_state(fixed_only, [])
+            elif kind is energy_and_gradient:
+                energy_and_gradient(h, fixed_only, [])
+            else:
+                run(kind, h, fixed_only, [], ConstantRate(0.05), max_steps=3)
 
 
 class TestRunScalarsKeepNumpyBits:
