@@ -9,7 +9,9 @@ plot     render trajectory CSVs as an energy-vs-step SVG, or as a
          two-parameter path plot with --path
 presets  list built-in preset names
 
-Exit codes: 0 success, 2 configuration error, 3 runtime/output error.
+Exit codes follow the exception type, in ``main`` alone: 0 success, 2 for a
+``ValueError`` (bad input), 3 for an ``ArithmeticError`` (such as an undefined
+metric), an ``OSError`` or numpy's ``LinAlgError`` (a ``ValueError``, so named).
 
 A config file holds one JSON problem document, in the schema that
 ``natvqe.experiments.Problem`` documents.  A ``--format json`` file's
@@ -60,10 +62,6 @@ _METRIC_NAMES = {
 }
 
 
-class ConfigError(ValueError):
-    """Bad command-line arguments or config file contents."""
-
-
 # ---------------------------------------------------------------------------
 # arguments
 
@@ -71,28 +69,22 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits or too deep
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, too many digits or too deep
+        raise ValueError(f"cannot read config file: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return doc
 
 
 def _problem_from_args(args) -> Problem:
     """The problem that --preset xor --config names."""
     if (args.preset is None) == (args.config is None):
-        raise ConfigError("provide exactly one of --preset or --config")
-    doc = None if args.config is None else _load_config_file(args.config)
-    try:
-        if doc is None:
-            return load_preset(args.preset)
-        return Problem.from_json(doc, Path(args.config).stem)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("provide exactly one of --preset or --config")
+    if args.config is None:
+        return load_preset(args.preset)
+    return Problem.from_json(_load_config_file(args.config), Path(args.config).stem)
 
 
 def _parse_optimizers(text: str) -> list[OptimizerKind]:
@@ -100,7 +92,7 @@ def _parse_optimizers(text: str) -> list[OptimizerKind]:
     for name in text.split(","):
         name = name.strip()
         if name not in _OPTIMIZER_NAMES:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown optimizer {name!r}; choose from {', '.join(_OPTIMIZER_NAMES)}"
             )
         kinds.append(_OPTIMIZER_NAMES[name])
@@ -112,11 +104,11 @@ def _parse_theta(text: str, circ: AnsatzCircuit) -> np.ndarray:
     try:
         entries = json.loads(f"[{text}]")
     except (ValueError, RecursionError):  # not JSON, or nested past the recursion limit
-        raise ConfigError(f"bad theta {text!r}: each entry must be a finite JSON number") from None
+        raise ValueError(f"bad theta {text!r}: each entry must be a finite JSON number") from None
     try:
         return check_parameters(circ, entries)
     except ValueError as exc:
-        raise ConfigError(f"bad theta {text!r}: {exc}") from exc
+        raise ValueError(f"bad theta {text!r}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -157,24 +149,24 @@ def parse_trajectory_csv(text: str) -> tuple[list[TrajectoryStep], int]:
     """Parse a trajectory CSV back into records; returns (steps, n_params)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ConfigError("empty trajectory file")
+        raise ValueError("empty trajectory file")
     width = lines[0].count(",") + 1
     n_params = width - 1 - len(_SCALAR_FIELDS)
     if n_params < 1 or lines[0] != csv_header(n_params):
-        raise ConfigError(f"unrecognized trajectory header: {lines[0]!r}")
+        raise ValueError(f"unrecognized trajectory header: {lines[0]!r}")
     steps = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != width:
-            raise ConfigError(f"malformed trajectory row: {ln!r}")
+            raise ValueError(f"malformed trajectory row: {ln!r}")
         try:
             k = int(parts[0])
             values = [float(x) for x in parts[1:]]
         except ValueError as exc:
-            raise ConfigError(f"malformed trajectory row: {ln!r}") from exc
+            raise ValueError(f"malformed trajectory row: {ln!r}") from exc
         steps.append(TrajectoryStep(k, tuple(values[:n_params]), *values[n_params:]))
     if not steps:
-        raise ConfigError("trajectory file has no data rows")
+        raise ValueError("trajectory file has no data rows")
     return steps, n_params
 
 
@@ -204,13 +196,10 @@ def cmd_run(args) -> int:
     kinds = _parse_optimizers(args.optimizer)
     eta = args.eta if args.eta is not None else problem.eta
     max_steps = args.steps if args.steps is not None else problem.max_steps
-    try:
-        check_limits(max_steps, args.grad_tol)
-        schedule = _SCHEDULES[args.schedule](eta)
-        policy = _POLICIES[args.regularization](args.reg_epsilon)
-        problem = replace(problem, eta=eta, max_steps=max_steps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_limits(max_steps, args.grad_tol)
+    schedule = _SCHEDULES[args.schedule](eta)
+    policy = _POLICIES[args.regularization](args.reg_epsilon)
+    problem = replace(problem, eta=eta, max_steps=max_steps)
 
     out_dir = _out_dir(args)
     try:
@@ -267,10 +256,7 @@ def cmd_metric(args) -> int:
     problem = _problem_from_args(args)
     circ = problem.circuit
     theta = problem.theta0 if args.theta is None else _parse_theta(args.theta, circ)
-    try:
-        check_tolerance(args.rank_tol, "rank_tol")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_tolerance(args.rank_tol, "rank_tol")
     wanted = _METRIC_NAMES.values() if args.kind == "all" else (_METRIC_NAMES[args.kind],)
     for kind, label in wanted:
         metric = metric_for(kind, problem.hamiltonian, circ, theta)
@@ -289,12 +275,12 @@ def cmd_plot(args) -> int:
     for path in args.trajectories:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        except OSError as exc:  # a missing input is bad input
+            raise ValueError(f"cannot read {path}: {exc}") from exc
         named_steps.append((Path(path).stem, parse_trajectory_csv(text)[0]))
 
     if args.path and any(len(steps[0].theta) != 2 for _, steps in named_steps):
-        raise ConfigError("path plot requires 2 parameters")
+        raise ValueError("path plot requires 2 parameters")
     title = args.title or ("parameter path" if args.path else "energy per iteration")
     _write_text(args.out, trajectory_plot(named_steps, title, path=args.path))
     print(args.out)
@@ -375,7 +361,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_RUNTIME
+        runtime = isinstance(exc, (ArithmeticError, OSError, np.linalg.LinAlgError))
+        return EXIT_RUNTIME if runtime else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -55,8 +55,9 @@ PROB_FLOOR = 1e-12  # outcomes this unlikely are left out of the Fisher sum
 DEFAULT_RANK_TOL = 1e-9
 
 
-class MetricUndefinedError(ValueError):
-    """Raised when a metric does not exist at the given parameters."""
+class MetricUndefinedError(ArithmeticError):
+    """Raised when a metric does not exist at the given parameters.  Valid inputs lead
+    there, so it is an ArithmeticError, as a failed solve is, and not a ValueError."""
 
 
 @dataclass(frozen=True, eq=False)

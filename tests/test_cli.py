@@ -377,6 +377,18 @@ class TestRunCommand:
         assert ([(g.kind, g.targets, g.param_index) for g in echoed.circuit.gates]
                 == [(g.kind, g.targets, g.param_index) for g in ran.circuit.gates])
 
+    def test_failed_eigendecomposition_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, but a solve that fails is not bad input
+        def eigh(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        code = main(["run", "--preset", "h2-a", "--optimizer", "natural", "--steps", "3",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "h2-a_natural.csv").exists()
+
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -619,6 +631,13 @@ class TestPlotCommand:
 
     def test_missing_input(self, tmp_path):
         assert main(["plot", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x.svg")]) == 2
+
+    def test_no_finite_energy_is_config_error(self, tmp_path, capsys):
+        nan_csv = tmp_path / "nan.csv"
+        nan_csv.write_text(csv_header(1) + "\n0,0.1,nan,nan,1.0,1.0\n1,0.2,nan,nan,1.0,1.0\n")
+        assert main(["plot", str(nan_csv), "--out", str(tmp_path / "x.svg")]) == 2
+        assert "no finite data to plot" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"

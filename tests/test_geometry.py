@@ -221,6 +221,11 @@ class TestClassicalFisherMetric:
         with pytest.raises(MetricUndefinedError, match="degenerate distribution"):
             classical_fisher_metric(circ, [np.pi / 4, 0.0], spectral_decompose(h))
 
+    def test_undefined_metric_is_an_arithmetic_error(self):
+        # valid inputs lead there, as to a failed solve, so the CLI exits 3 for both
+        assert issubclass(MetricUndefinedError, ArithmeticError)
+        assert not issubclass(MetricUndefinedError, ValueError)
+
     def test_decomposition_of_another_size_rejected(self, single_qubit):
         # it used to fail inside numpy: "matmul: Input operand 1 has a mismatch ..."
         _, h = single_qubit
