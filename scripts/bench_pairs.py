@@ -98,6 +98,7 @@ def main() -> int:
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT",
                         help="a top-level field of the output, such as what=... or claim=...")
     args = parser.parse_args()
+    notes = dict(note.split("=", 1) for note in args.note)  # a note without '=' fails here
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
@@ -136,8 +137,7 @@ def main() -> int:
             if len(values["parent"]) == len(values["change"]) == args.pairs:
                 entry["metrics"][name] = compare(metric, values["parent"], values["change"])
         end_to_end[f"{workload}/seed{args.seed}"] = entry
-        # written after each workload, so a session cut short keeps what it measured
-        notes = dict(note.split("=", 1) for note in args.note)
+        # written after each workload, so an interrupted run keeps what it measured
         doc = {
             **notes,
             # a git archive holds no .git, so the commit may come as a note
