@@ -275,7 +275,7 @@ def cmd_plot(args) -> int:
     for path in args.trajectories:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:  # a missing input is bad input
+        except (OSError, UnicodeDecodeError) as exc:  # a missing or non-UTF-8 input is bad input
             raise ValueError(f"cannot read {path}: {exc}") from exc
         named_steps.append((Path(path).stem, parse_trajectory_csv(text)[0]))
 

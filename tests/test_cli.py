@@ -652,6 +652,14 @@ class TestPlotCommand:
             assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2, text
             assert not (tmp_path / "x.svg").exists()
 
+    def test_non_utf8_input_is_config_error(self, tmp_path, capsys):
+        # reading raises UnicodeDecodeError, a ValueError, which used to exit 3
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"step,theta_1,energy\n0,0.1,\xff\n")
+        assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestPresetsCommand:
     def test_lists_all(self, capsys):
