@@ -179,9 +179,11 @@ def solve_regularized(
         d = w + policy.epsilon
     elif isinstance(policy, EigenFloor):
         d = np.maximum(w, policy.epsilon)
-    else:
+    elif isinstance(policy, PseudoInverse):
         # a dropped eigenpair divides by inf: with no positive eigenvalue the step is zero
         d = np.where((w > 0.0) & (w >= policy.cut * w[-1]), w, np.inf)
+    else:
+        raise TypeError(f"policy must be a Tikhonov, EigenFloor or PseudoInverse, got {policy!r}")
     x = v @ ((v.T @ g) / d)
     if not np.isfinite(x).all():
         raise ArithmeticError("regularized solve produced non-finite values")

@@ -39,12 +39,13 @@ stacked product with the generators for the derivatives, bit for bit the
 matrices that building each gate alone gives.
 
 A state is its read-only complex amplitude array, of length 2**n.  Every
-circuit also keeps its last ``state_and_tangents`` result, keyed only by the
-bytes of a float theta (any other input passes ``check_parameters`` first), so
+circuit also keeps its last ``state_and_tangents`` result, keyed on the bytes
+of theta after ``check_parameters`` has passed it (every call checks first), so
 the energy, gradient and metrics at one point share a single sweep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -204,7 +205,7 @@ class AnsatzCircuit:
     index into the batch.  A batch short of m + 1 rows has at least two, so
     BLAS gives each row the bits it has in the full batch.
     ``_memo`` holds the last ``state_and_tangents`` result as
-    ``(theta bytes, phi, tangents)``.
+    ``(bytes of the checked theta, phi, tangents)``.
     """
 
     n_qubits: int
@@ -240,14 +241,14 @@ def circuit(n_qubits: int, gates: Iterable[Gate]) -> AnsatzCircuit:
 
 
 def check_parameters(circ: AnsatzCircuit, theta: Sequence[float], what="theta entry") -> np.ndarray:
-    """Validate a parameter vector against a circuit that has a slot and return it as a float
-    array whose entries pass ``check_numbers`` as ``what``; the memo is keyed only on these."""
+    """Validate theta against a circuit that has a slot: a finite float array of shape (m,) whose
+    entries pass ``check_numbers`` as ``what``.  The memo keys on its bytes and needs no more test."""
     if circ.n_params == 0:
         raise ValueError("circuit has no parameterized gate")
     arr = check_numbers(theta, what)
     if arr.shape != (circ.n_params,):
         raise ValueError(f"circuit takes {circ.n_params} parameter(s), got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("parameters must be finite")
     return arr
 
@@ -359,15 +360,11 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     the gate is applied.  The circuit remembers the last result, so asking
     again at the same theta (the same bytes) returns the same arrays.
     """
-    if not (isinstance(theta, np.ndarray) and theta.dtype == float):
-        theta = check_parameters(circ, theta)  # the memo answers only validated bytes
+    theta = check_parameters(circ, theta)  # the memo answers only checked bytes
     key = theta.tobytes()
     memo = circ._memo
-    # a stored key was finite when it was stored; the shape test comes first
-    # because an array of another shape can carry the same bytes
-    if theta.shape == (circ.n_params,) and memo is not None and memo[0] == key:
+    if memo is not None and memo[0] == key:
         return memo[1], memo[2]
-    theta = check_parameters(circ, theta)
     steps, restore, batch, unitary_plan = circ._plan
     dim = batch.shape[1]
     half = dim // 2

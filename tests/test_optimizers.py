@@ -127,6 +127,19 @@ class TestSolveRegularized:
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
             solve_regularized(metric_of(np.diag([1.0, 0.0])), [1.0, 1.0], EigenFloor(5e-324))
 
+    @pytest.mark.parametrize("policy", ["eigenfloor", None, 1e-3])
+    def test_a_policy_that_is_not_a_policy_is_rejected(self, policy):
+        # an object of no policy type must not be read as a PseudoInverse
+        message = f"policy must be a Tikhonov, EigenFloor or PseudoInverse, got {policy!r}"
+        with pytest.raises(TypeError) as info:
+            solve_regularized(metric_of(np.eye(2)), [1.0, 2.0], policy)
+        assert str(info.value) == message
+        p = load_preset("h2-a")
+        with pytest.raises(TypeError) as info:
+            run(OptimizerKind.NATURAL_FS, p.hamiltonian, p.circuit, p.theta0, ConstantRate(p.eta),
+                policy, max_steps=1)
+        assert str(info.value) == message
+
 
 def step(kind, hamiltonian, circ, theta, eta):
     """The first update of ``run``: theta - eta * M^{-1} grad under the default policy."""

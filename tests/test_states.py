@@ -520,6 +520,22 @@ class TestSweepMemo:
                 state_and_tangents(circ, text)
             assert str(info.value) == "theta entry must be a number, got '0.3'"
 
+    def test_every_call_checks_theta_once(self, monkeypatch):
+        # a miss must not check twice, and a hit, even on a float array, must not skip the check
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check_parameters(*args, **kwargs)
+
+        monkeypatch.setattr("natvqe.states.check_parameters", counting)
+        for theta in ([0.1, 0.2, 0.3, 0.4], np.array([0.4, 0.3, 0.2, 0.1])):
+            circ = hardware_efficient_ansatz()
+            for _ in ("miss", "hit"):
+                calls.clear()
+                state_and_tangents(circ, theta)
+                assert len(calls) == 1
+
     def test_circuit_is_freed_after_use(self):
         # plan and memo live on the circuit; nothing else keeps it alive
         circ = repeated_param_circuit()
