@@ -95,6 +95,8 @@ def _parse_optimizers(text: str) -> list[OptimizerKind]:
             raise ValueError(
                 f"unknown optimizer {name!r}; choose from {', '.join(_OPTIMIZER_NAMES)}"
             )
+        if _OPTIMIZER_NAMES[name] in kinds:
+            raise ValueError(f"optimizer {name!r} is named twice")
         kinds.append(_OPTIMIZER_NAMES[name])
     return kinds
 

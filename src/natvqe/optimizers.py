@@ -124,6 +124,11 @@ class PseudoInverse(_PositiveSetting):
 
     cut: float
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.cut > 1.0:  # no eigenpair would be kept, so every step would be zero
+            raise ValueError(f"cut must be at most 1, got {self.cut}")
+
 
 RegularizationPolicy = Tikhonov | EigenFloor | PseudoInverse
 

@@ -38,10 +38,10 @@ are built once per sweep: one sin, cos and exp over all their angles, and one
 stacked product with the generators for the derivatives, bit for bit the
 matrices that building each gate alone gives.
 
-A state is its read-only complex amplitude array, of length 2**n.  Every
-circuit also keeps its last ``state_and_tangents`` result, keyed on the bytes
-of theta after ``check_parameters`` has passed it (every call checks first), so
-the energy, gradient and metrics at one point share a single sweep.
+A state is its read-only complex amplitude array, of length 2**n, and the
+sweep checks its norm.  Each circuit keeps its last ``state_and_tangents``
+result, keyed on the bytes of theta that every call first checks, so the
+energy, gradient and metrics at one point share a single sweep.
 """
 from __future__ import annotations
 
@@ -357,8 +357,10 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     obtained by inserting the gate generator at every occurrence of parameter
     i and summing (product rule), all in a single sweep over the gate list:
     the generator is pushed through the state row and added to row i after
-    the gate is applied.  The circuit remembers the last result, so asking
-    again at the same theta (the same bytes) returns the same arrays.
+    the gate is applied.  A state whose norm is off 1 by more than NORM_TOL
+    raises ArithmeticError (a NaN one passes, for the caller to see).  The
+    circuit remembers the last result it returned, so asking again at the
+    same theta (the same bytes) returns the same arrays, unchecked.
     """
     theta = check_parameters(circ, theta)  # the memo answers only checked bytes
     key = theta.tobytes()
@@ -383,19 +385,17 @@ def state_and_tangents(circ: AnsatzCircuit, theta: Sequence[float]) -> tuple[np.
     flat = batch if restore is None else batch.take(restore)
     flat.setflags(write=False)
     phi, tangents = flat[0], flat[1:]
+    if abs(np.vdot(phi, phi).real - 1.0) > NORM_TOL:
+        raise ArithmeticError("circuit application lost normalization")
     object.__setattr__(circ, "_memo", (key, phi, tangents))
     return phi, tangents
 
 
 def build_state(circ: AnsatzCircuit, theta: Sequence[float]) -> np.ndarray:
-    """Evaluate U(theta)|0..0> as a read-only amplitude array (norm 1 within NORM_TOL).
-
-    It is the state row of ``state_and_tangents``, the same array.  A sweep
-    of the state row alone would not give its bits: a gate on every qubit
-    (any gate of a one-qubit circuit) would make that a one-row product,
-    which numpy sends to gemv, and gemv rounds differently from gemm.
+    """Evaluate U(theta)|0..0> as a read-only amplitude array: the state row of
+    ``state_and_tangents``, the same array, whose norm the sweep checks.  A sweep
+    of the state row alone would not give its bits: a gate on every qubit (any
+    gate of a one-qubit circuit) would make that a one-row product, which numpy
+    sends to gemv, and gemv rounds differently from gemm.
     """
-    amps, _ = state_and_tangents(circ, theta)
-    if abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
-        raise ArithmeticError("circuit application lost normalization")
-    return amps
+    return state_and_tangents(circ, theta)[0]

@@ -182,6 +182,19 @@ class TestRunCommand:
     def test_unknown_optimizer(self):
         assert main(["run", "--preset", "qubit-a", "--optimizer", "sgd"]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        # each optimizer used to run and write its file once per mention
+        (["--optimizer", "natural,vanilla, natural"], "optimizer 'natural' is named twice"),
+        # a cut above 1 keeps no eigenpair, so the run ended max_steps at theta0
+        (["--optimizer", "natural", "--regularization", "pinv", "--reg-epsilon", "2"],
+         "cut must be at most 1, got 2.0"),
+    ], ids=["repeated-optimizer", "pinv-cut-above-one"])
+    def test_refused_before_the_output_directory_is_made(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "h2-a", *flags, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -388,6 +401,20 @@ class TestRunCommand:
         assert code == 3
         assert "did not converge" in capsys.readouterr().err
         assert not (tmp_path / "h2-a_natural.csv").exists()
+
+    def test_state_the_circuit_failed_to_normalize_is_runtime_error(self, tmp_path, capsys):
+        # each gate passes the unitarity check, but three of them lift the norm past NORM_TOL
+        drift = {"kind": "unitary", "targets": [0],
+                 "matrix": [[[1 + 4.9e-13, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        doc = {"hamiltonian": [[1.0, "Z"]], "theta0": [0.3], "max_steps": 5,
+               "circuit": {"n_qubits": 1, "gates": [
+                   drift, drift, drift, {"kind": "ry", "targets": [0], "param_index": 0}]}}
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                     "--optimizer", "vanilla,natural", "--out-dir", str(out)])
+        assert code == 3
+        assert "circuit application lost normalization" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"

@@ -22,6 +22,7 @@ from natvqe import (
     fubini_study_metric,
     load_preset,
     pauli_sum,
+    phase,
     run,
     ry,
 )
@@ -122,6 +123,12 @@ class TestSolveRegularized:
             Tikhonov(-1e-3)
         with pytest.raises(ValueError, match="positive"):
             PseudoInverse(0.0)
+
+    def test_pseudo_inverse_cut_above_one_rejected(self):
+        # no eigenpair would be kept, so every natural step would be zero
+        with pytest.raises(ValueError, match="cut must be at most 1, got 2.0"):
+            PseudoInverse(2.0)
+        assert PseudoInverse(1).cut == 1.0
 
     def test_overflowing_solve_reported(self):
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
@@ -339,6 +346,15 @@ class TestRun:
             traj = run(OptimizerKind.VANILLA, h, circ, [0.7], ConstantRate(0.05), max_steps=10)
         assert traj.terminal_reason is TerminalReason.NON_FINITE
         assert len(traj.steps) == 1
+
+    def test_overflowing_phase_angle_terminates_quietly(self):
+        # exp(2i * 1e308) is NaN: the sweep's norm check passes a NaN state on to the run
+        circ = circuit(1, [ry(0, 0), phase(0, 1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(OptimizerKind.VANILLA, pauli_sum(1, [(1.0, "Z")]), circ, [0.3, 1e308],
+                       ConstantRate(0.05), max_steps=10)
+        assert traj.terminal_reason is TerminalReason.NON_FINITE
+        assert len(traj.steps) == 1 and math.isnan(traj.final.energy)
 
     def test_vanilla_diagnostics_use_identity(self, single_qubit):
         circ, h = single_qubit

@@ -546,6 +546,46 @@ class TestSweepMemo:
         assert ref() is None
 
 
+def drifting_circuit():
+    # each gate passes the unitarity check, but three of them lift the norm past NORM_TOL
+    drift = fixed_unitary(np.diag([1 + 4.9e-13, 1]), 0)
+    return circuit(1, [drift, drift, drift, ry(0, 0)])
+
+
+Z = pauli_sum(1, [(1.0, "Z")])
+
+
+class TestNormalizationRule:
+    @pytest.mark.parametrize("evaluate", [
+        lambda circ: build_state(circ, [0.0]),
+        lambda circ: energy_and_gradient(Z, circ, [0.3]),
+        lambda circ: fubini_study_metric(circ, [0.3]),
+        lambda circ: ite_matrix(circ, [0.3]),
+        lambda circ: classical_fisher_metric(circ, [0.3], spectral_decompose(Z)),
+        lambda circ: run(OptimizerKind.NATURAL_FS, Z, circ, [0.3], ConstantRate(0.05)),
+    ], ids=["build_state", "energy_and_gradient", "fubini_study", "ite", "classical_fisher",
+            "run"])
+    def test_every_consumer_refuses_a_state_the_circuit_failed_to_normalize(self, evaluate):
+        # energy_and_gradient used to return 1.0000000000029403, above Z's top eigenvalue
+        with pytest.raises(ArithmeticError, match="circuit application lost normalization"):
+            evaluate(drifting_circuit())
+
+    def test_a_refused_theta_is_not_remembered(self):
+        circ = drifting_circuit()
+        for _ in ("first", "again"):
+            with pytest.raises(ArithmeticError, match="lost normalization"):
+                state_and_tangents(circ, [0.3])
+
+    def test_checked_once_per_miss_and_not_on_a_hit(self, monkeypatch):
+        vdot, calls = np.vdot, []
+        monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+        circ = hardware_efficient_ansatz()
+        for expected in (1, 0):  # a miss, then a hit
+            calls.clear()
+            state_and_tangents(circ, [0.1, 0.2, 0.3, 0.4])
+            assert len(calls) == expected
+
+
 class TestNumberRule:
     """``check_numbers``: the one rule for the real and complex arrays the API takes."""
 
