@@ -11,7 +11,8 @@ presets  list built-in preset names
 
 Exit codes follow the exception type, in ``main`` alone: 0 success, 2 for a
 ``ValueError`` (bad input), 3 for an ``ArithmeticError`` (such as an undefined
-metric), an ``OSError`` or numpy's ``LinAlgError`` (a ``ValueError``, so named).
+metric), an ``OSError`` or numpy's ``LinAlgError`` (a ``ValueError``, so named).  A start
+the circuit fails to normalize is bad input; a run that reaches a NaN point ends ``non_finite``.
 
 A config file holds one JSON problem document, in the schema that
 ``natvqe.experiments.Problem`` documents.  A ``--format json`` file's

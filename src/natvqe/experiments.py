@@ -34,8 +34,8 @@ from .optimizers import (
     check_limits,
     run,
 )
-from .states import (AnsatzCircuit, Gate, GateKind, check_parameters, check_real, circuit, cnot,
-                     phase, ry)
+from .states import (AnsatzCircuit, Gate, GateKind, build_state, check_parameters, check_real,
+                     circuit, cnot, phase, ry)
 
 __all__ = [
     "Problem",
@@ -78,9 +78,10 @@ class Problem:
     """A named problem instance: a Hamiltonian, an ansatz, a start and run settings.
 
     The Hamiltonian and the circuit must act on the same qubits, the circuit have a parameter
-    slot, ``theta0`` be numbers that fit it, ``eta`` be positive and finite and ``max_steps``
-    a whole number from 1 to ``optimizers.MAX_STEPS``; all are checked at construction, and
-    ``theta0`` and ``eta`` are stored as Python floats, ``max_steps`` as an int.
+    slot, ``theta0`` be numbers that fit it and whose state the circuit keeps normalized (the
+    sweep's rule: a drifting circuit is bad input), ``eta`` be positive and finite and
+    ``max_steps`` a whole number from 1 to ``optimizers.MAX_STEPS``; all are checked at
+    construction, and ``theta0`` and ``eta`` are stored as Python floats, ``max_steps`` as an int.
     ``reference_energy`` is not an input: it is the Hamiltonian's ground energy,
     computed by exact diagonalization, which ``compare`` measures against.
 
@@ -117,6 +118,10 @@ class Problem:
             raise ValueError(f"hamiltonian acts on {self.hamiltonian.n_qubits} qubit(s), "
                              f"circuit on {self.circuit.n_qubits}")
         theta0 = check_parameters(self.circuit, self.theta0, "theta0 entry")
+        try:  # the sweep's norm rule, at the start; a run's record 0 reads this sweep's memo
+            build_state(self.circuit, theta0)
+        except ArithmeticError as exc:
+            raise ValueError(f"theta0 {theta0.tolist()}: {exc}") from exc
         object.__setattr__(self, "theta0", tuple(theta0.tolist()))
         object.__setattr__(self, "eta", ConstantRate(self.eta).eta)  # the schedule's own check
         check_limits(self.max_steps)

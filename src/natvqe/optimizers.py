@@ -223,7 +223,9 @@ def run(
     first update uses eta_1).  The loop is deterministic and pure: identical
     inputs give bit-identical trajectories.  It stops after ``max_steps``
     updates, when the gradient norm falls below ``grad_tol`` (if positive), or
-    as soon as a non-finite parameter, energy, or gradient appears.
+    as soon as a non-finite parameter, energy, or gradient appears.  Every kind
+    ends a non-finite energy or gradient alike: it records that point, before any
+    metric is built, with metric fields 1.0 (vanilla's identity) or NaN.
     """
     check_limits(max_steps, grad_tol)
     theta = check_parameters(circ, theta0, "theta0 entry")
@@ -240,6 +242,12 @@ def run(
         value, grad = energy_and_gradient(hamiltonian, circ, theta)
         # np.linalg.norm of a contiguous 1-d float array is sqrt(x.dot(x)): the same bits
         grad_norm = math.sqrt(grad.dot(grad))
+        if not (math.isfinite(value) and math.isfinite(grad_norm)):
+            # no metric is built at a point the run will not step from
+            det = 1.0 if kind is OptimizerKind.VANILLA else math.nan
+            steps.append(TrajectoryStep(k, record, value, grad_norm, det, det))
+            reason = TerminalReason.NON_FINITE
+            break
         metric = metric_for(kind, hamiltonian, circ, theta)
         if metric is None:
             det, min_eig = 1.0, 1.0
@@ -247,9 +255,6 @@ def run(
             eigs = metric.eigenvalues
             det, min_eig = float(eigs.prod()), float(eigs[0])
         steps.append(TrajectoryStep(k, record, value, grad_norm, det, min_eig))
-        if not (math.isfinite(value) and math.isfinite(grad_norm)):
-            reason = TerminalReason.NON_FINITE
-            break
         if grad_tol > 0.0 and grad_norm < grad_tol:
             reason = TerminalReason.GRAD_NORM_BELOW
             break

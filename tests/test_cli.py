@@ -402,8 +402,9 @@ class TestRunCommand:
         assert "did not converge" in capsys.readouterr().err
         assert not (tmp_path / "h2-a_natural.csv").exists()
 
-    def test_state_the_circuit_failed_to_normalize_is_runtime_error(self, tmp_path, capsys):
-        # each gate passes the unitarity check, but three of them lift the norm past NORM_TOL
+    def test_start_the_circuit_fails_to_normalize_is_config_error(self, tmp_path, capsys):
+        # each gate passes the unitarity check, but three of them lift the norm past NORM_TOL:
+        # the problem's start is refused before the output directory is made
         drift = {"kind": "unitary", "targets": [0],
                  "matrix": [[[1 + 4.9e-13, 0], [0, 0]], [[0, 0], [1, 0]]]}
         doc = {"hamiltonian": [[1.0, "Z"]], "theta0": [0.3], "max_steps": 5,
@@ -412,9 +413,30 @@ class TestRunCommand:
         out = tmp_path / "out"
         code = main(["run", "--config", str(write_config(tmp_path, doc)),
                      "--optimizer", "vanilla,natural", "--out-dir", str(out)])
-        assert code == 3
-        assert "circuit application lost normalization" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "theta0 [0.3]" in err and "circuit application lost normalization" in err
+        assert not out.exists()
+
+    def test_nan_state_ends_every_optimizer_alike(self, tmp_path, capsys):
+        # exp(2i * 1e308) is NaN: each run records the NaN start and ends there
+        doc = {"hamiltonian": [[1.0, "Z"]], "theta0": [0.3, 1e308], "max_steps": 10,
+               "circuit": {"n_qubits": 1, "gates": [
+                   {"kind": "ry", "targets": [0], "param_index": 0},
+                   {"kind": "phase", "targets": [0], "param_index": 1}]}}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(write_config(tmp_path, doc)), "--optimizer",
+                         "vanilla,natural,ite,classical", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.count("terminal=non_finite") == 4
+        for kind in ("vanilla", "natural", "ite", "classical"):
+            steps, _ = parse_trajectory_csv((tmp_path / f"problem_{kind}.csv").read_text())
+            assert len(steps) == 1 and np.isnan(steps[0].energy)
+            metric_fields = (steps[0].det_metric, steps[0].min_eig_metric)
+            if kind == "vanilla":
+                assert metric_fields == (1.0, 1.0)
+            else:
+                assert np.isnan(metric_fields).all()
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"

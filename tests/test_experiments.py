@@ -26,6 +26,7 @@ from natvqe import (
     ry,
     steps_to_threshold,
 )
+from natvqe import states
 from natvqe.experiments import h2_hamiltonian, sigma_x_hamiltonian
 from natvqe.observables import PauliHamiltonian, dense_matrix
 from natvqe.optimizers import MAX_STEPS
@@ -227,6 +228,24 @@ class TestProblemJson:
         with pytest.raises(ValueError) as err:
             Problem(**fields)
         assert str(err.value) == "hamiltonian acts on 1 qubit(s), circuit on 2"
+
+    def test_start_the_circuit_fails_to_normalize_rejected(self):
+        # each gate passes the unitarity check, but three of them lift the norm past NORM_TOL
+        drift = fixed_unitary(np.diag([1 + 4.9e-13, 1.0]), 0)
+        circ = circuit(1, [drift, drift, drift, ry(0, 0)])
+        with pytest.raises(ValueError) as err:
+            Problem("drift", pauli_sum(1, [(1.0, "Z")]), circ, (0.3,), 0.05, 5)
+        assert str(err.value) == "theta0 [0.3]: circuit application lost normalization"
+
+    def test_record_0_reads_the_sweep_of_the_start(self, monkeypatch):
+        # the sweep that checks the start is the one a run's record 0 reads from the memo
+        problem = load_preset("h2-a")
+        misses, unitaries = [], states._unitaries
+        monkeypatch.setattr(states, "_unitaries",
+                            lambda *args: misses.append(1) or unitaries(*args))
+        run(OptimizerKind.NATURAL_FS, problem.hamiltonian, problem.circuit, problem.theta0,
+            ConstantRate(problem.eta), max_steps=3)
+        assert len(misses) == 3  # one per update, none for record 0
 
     def test_whole_max_steps_is_stored_as_an_int(self):
         # 3.0 used to be kept, and echoed as 3.0

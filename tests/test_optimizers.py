@@ -347,14 +347,21 @@ class TestRun:
         assert traj.terminal_reason is TerminalReason.NON_FINITE
         assert len(traj.steps) == 1
 
-    def test_overflowing_phase_angle_terminates_quietly(self):
-        # exp(2i * 1e308) is NaN: the sweep's norm check passes a NaN state on to the run
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_overflowing_phase_angle_terminates_quietly(self, kind):
+        # exp(2i * 1e308) is NaN: the sweep's norm check passes a NaN state on to the run,
+        # which records it before it builds a metric, so every kind ends here alike
         circ = circuit(1, [ry(0, 0), phase(0, 1)])
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = run(OptimizerKind.VANILLA, pauli_sum(1, [(1.0, "Z")]), circ, [0.3, 1e308],
+            traj = run(kind, pauli_sum(1, [(1.0, "Z")]), circ, [0.3, 1e308],
                        ConstantRate(0.05), max_steps=10)
         assert traj.terminal_reason is TerminalReason.NON_FINITE
         assert len(traj.steps) == 1 and math.isnan(traj.final.energy)
+        metric_fields = (traj.final.det_metric, traj.final.min_eig_metric)
+        if kind is OptimizerKind.VANILLA:
+            assert metric_fields == (1.0, 1.0)
+        else:
+            assert all(math.isnan(x) for x in metric_fields)
 
     def test_vanilla_diagnostics_use_identity(self, single_qubit):
         circ, h = single_qubit
