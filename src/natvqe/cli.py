@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -45,8 +44,6 @@ from .optimizers import (DEFAULT_POLICY, ConstantRate, EigenFloor, InverseStepRa
                          metric_for, run)
 from .states import AnsatzCircuit, check_parameters
 from .svgplot import line_plot
-
-OUT_DIR_ENV = "NATVQE_OUT_DIR"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,12 +109,6 @@ def _parse_theta(text: str, circ: AnsatzCircuit) -> np.ndarray:
         return check_parameters(circ, entries)
     except ValueError as exc:
         raise ValueError(f"bad theta {text!r}: {exc}") from exc
-
-
-def _out_dir(args) -> Path:
-    if args.out_dir is not None:
-        return Path(args.out_dir)
-    return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
 def _write_text(path, text: str) -> None:
@@ -204,7 +195,7 @@ def cmd_run(args) -> int:
     policy = _POLICIES[args.regularization](args.reg_epsilon)
     problem = replace(problem, eta=eta, max_steps=max_steps)
 
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -328,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--reg-epsilon", type=float, default=DEFAULT_POLICY.epsilon,
                        help="floor/shift (or relative cut for pinv)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--out-dir", default=None,
-                       help=f"output directory (default: ${OUT_DIR_ENV} or '.')")
+    p_run.add_argument("--out-dir", default=".", help="output directory (default: '.')")
     p_run.set_defaults(func=cmd_run)
 
     p_metric = sub.add_parser("metric", help="print metric matrices at a parameter point")

@@ -161,17 +161,17 @@ def _gate_from_json(entry, index: int) -> Gate:
     try:
         kind = GateKind(entry["kind"])
         targets = tuple(entry["targets"])
-        rows = entry["matrix"] if kind is GateKind.UNITARY else None
+        # a matrix on any other kind goes on to Gate, which refuses it
+        matrix = entry["matrix"] if kind is GateKind.UNITARY else entry.get("matrix")
     except KeyError as exc:
         raise ValueError(f"gate {index} missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad gate entry {entry!r}: {exc}") from exc
-    matrix = None
     if kind is GateKind.UNITARY:
         try:
             matrix = np.array([[complex(check_real(real, "matrix entry"),
                                         check_real(imag, "matrix entry"))
-                                for real, imag in row] for row in rows])
+                                for real, imag in row] for row in matrix])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad unitary matrix in gate {index}: {exc}") from exc
     return Gate(kind, targets, entry.get("param_index"), matrix)

@@ -225,8 +225,11 @@ def run(
     updates, when the gradient norm falls below ``grad_tol`` (if positive), or
     as soon as a non-finite parameter, energy, or gradient appears.  Every kind
     ends a non-finite energy or gradient alike: it records that point, before any
-    metric is built, with metric fields 1.0 (vanilla's identity) or NaN.
+    metric is built, with metric fields 1.0 (vanilla's identity) or NaN.  A ``kind``
+    that is not an ``OptimizerKind`` is a ``TypeError`` before any state is evaluated.
     """
+    if not isinstance(kind, OptimizerKind):
+        raise TypeError(f"kind must be an OptimizerKind, got {kind!r}")
     check_limits(max_steps, grad_tol)
     theta = check_parameters(circ, theta0, "theta0 entry")
     steps: list[TrajectoryStep] = []

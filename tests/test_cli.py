@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from natvqe.cli import (
 from natvqe.experiments import Problem
 from natvqe.optimizers import MAX_STEPS, Trajectory, TrajectoryStep
 from natvqe.states import MAX_QUBITS
+from natvqe.svgplot import line_plot
 
 CUSTOM_CONFIG = {
     "hamiltonian": [[0.4, "ZI"], [0.4, "IZ"], [0.2, "XX"]],
@@ -162,12 +164,6 @@ class TestRunCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 0
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NATVQE_OUT_DIR", str(tmp_path / "from_env"))
-        code = main(["run", "--preset", "qubit-a", "--optimizer", "vanilla", "--steps", "3"])
-        assert code == 0
-        assert (tmp_path / "from_env" / "qubit-a_vanilla.csv").exists()
-
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["run", "--preset", "nope", "--optimizer", "vanilla"]) == 2
         assert "unknown preset" in capsys.readouterr().err
@@ -242,6 +238,9 @@ class TestRunCommand:
                                        "matrix": [[[0, 0], ["1", 0]], [[1, 0], [0, 0]]]})}),
         ([], {"circuit": with_gate(2, {"kind": "unitary", "targets": [0],
                                        "matrix": [[[0, 0], [1, 0]], [[True, 0], [0, 0]]]})}),
+        # a matrix on a gate that takes none used to be dropped without a word
+        ([], {"circuit": with_gate(1, {"kind": "ry", "targets": [1], "param_index": 1,
+                                       "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]})}),
         # integers past the float range made float() raise OverflowError, which exited 3
         ([], {"eta": 10 ** 400}),
         ([], {"max_steps": 10 ** 400}),
@@ -268,6 +267,7 @@ class TestRunCommand:
             "config-target-fraction", "config-target-text", "config-target-bool",
             "config-param-index-fraction", "config-param-index-bool", "config-coefficient-text",
             "config-coefficient-bool", "config-matrix-entry-text", "config-matrix-entry-bool",
+            "config-matrix-on-ry",
             "config-eta-huge", "config-max-steps-huge", "config-theta0-huge",
             "config-coefficient-huge", "config-matrix-entry-huge", "config-matrix-entry-nan",
             "config-matrix-entry-inf",
@@ -437,6 +437,26 @@ class TestRunCommand:
                 assert metric_fields == (1.0, 1.0)
             else:
                 assert np.isnan(metric_fields).all()
+
+    def test_overflowing_update_ends_non_finite(self, tmp_path, capsys):
+        # the first update at eta = 1e308 overflows theta: each run keeps record 0 alone
+        doc = {"hamiltonian": [[1.0, "Z"]], "theta0": [math.pi / 4 - 0.1], "eta": 1e308,
+               "max_steps": 10, "circuit": {"n_qubits": 1, "gates": [
+                   {"kind": "ry", "targets": [0], "param_index": 0}]}}
+        with np.errstate(over="ignore"):
+            code = main(["run", "--config", str(write_config(tmp_path, doc)),
+                         "--optimizer", "vanilla,natural", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.count("terminal=non_finite") == 2
+        for kind in ("vanilla", "natural"):
+            steps, _ = parse_trajectory_csv((tmp_path / f"problem_{kind}.csv").read_text())
+            assert [s.k for s in steps] == [0]
+
+    def test_out_dir_defaults_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--preset", "qubit-a", "--optimizer", "vanilla", "--steps", "3"])
+        assert code == 0
+        assert (tmp_path / "qubit-a_vanilla.csv").exists()
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"
@@ -700,6 +720,33 @@ class TestPlotCommand:
             bad.write_text(text)
             assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2, text
             assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty trajectory file"),
+        (csv_header(1) + "\n", "trajectory file has no data rows"),
+        (csv_header(1) + "\n0,0.1,0.2,0.3,1.0\n", "malformed trajectory row: '0,0.1,0.2,0.3,1.0'"),
+        (csv_header(1) + "\n0,0.1,low,0.3,1.0,1.0\n",
+         "malformed trajectory row: '0,0.1,low,0.3,1.0,1.0'"),
+    ], ids=["empty", "header-only", "short-row", "not-a-number"])
+    def test_unparsable_trajectory_is_config_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["plot", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_one_record_plots_on_a_padded_range(self, tmp_path):
+        # one x and one y value: each axis spans the value +- 0.5, padded by 5%
+        one = tmp_path / "one.csv"
+        one.write_text(csv_header(1) + "\n0,0.1,-0.5,0.3,1.0,1.0\n")
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(one), "--out", str(out)]) == 0
+        texts = {node.text for node in ET.fromstring(out.read_text()).iter()}
+        assert {"-0.55", "0.55", "-1.05", "0.05"} <= texts
+
+    def test_no_series_is_refused(self):
+        with pytest.raises(ValueError, match="^nothing to plot$"):
+            line_plot([])
 
     def test_non_utf8_input_is_config_error(self, tmp_path, capsys):
         # reading raises UnicodeDecodeError, a ValueError, which used to exit 3

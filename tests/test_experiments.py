@@ -296,6 +296,19 @@ class TestProblemJson:
             Problem.from_json(doc, "qubit")
         assert str(info.value) == f"bad config file: gate 2 missing field '{field}'"
 
+    @pytest.mark.parametrize("gate", [
+        {"kind": "ry", "targets": [0], "param_index": 0},
+        {"kind": "cnot", "targets": [0, 1]},
+    ], ids=["ry", "cnot"])
+    def test_matrix_on_a_gate_that_takes_none_rejected(self, gate):
+        # the matrix used to be dropped, and the gate built without it
+        doc = load_preset("h2-a").to_json()
+        doc["circuit"]["gates"].append(dict(gate, matrix=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
+        with pytest.raises(ValueError) as info:
+            Problem.from_json(doc, "h2")
+        kind = gate["kind"]
+        assert str(info.value) == f"bad config file: {kind} does not take an explicit matrix"
+
     def test_bad_unitary_names_the_gate_and_the_cause(self):
         doc = load_preset("qubit-a").to_json()
         unitary = {"kind": "unitary", "targets": [0],

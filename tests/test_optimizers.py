@@ -363,6 +363,29 @@ class TestRun:
         else:
             assert all(math.isnan(x) for x in metric_fields)
 
+    @pytest.mark.parametrize("theta0", [[0.3, 0.2], [0.3, 1e308]], ids=["finite", "nan-state"])
+    def test_a_kind_that_is_not_an_optimizer_kind_is_refused_before_any_sweep(
+            self, theta0, monkeypatch):
+        # from the NaN start, "natural" used to end a one-record non_finite run,
+        # and from a finite one it was refused only after a sweep
+        circ = circuit(1, [ry(0, 0), phase(0, 1)])
+        sweeps, unitaries = [], states._unitaries
+        monkeypatch.setattr(states, "_unitaries",
+                            lambda *args: sweeps.append(1) or unitaries(*args))
+        with pytest.raises(TypeError, match="^kind must be an OptimizerKind, got 'natural'$"):
+            run("natural", pauli_sum(1, [(1.0, "Z")]), circ, theta0, ConstantRate(0.05),
+                max_steps=10)
+        assert sweeps == []
+
+    @pytest.mark.parametrize("kind", [OptimizerKind.VANILLA, OptimizerKind.NATURAL_FS])
+    def test_overflowing_update_terminates_quietly(self, kind):
+        # the first update at eta = 1e308 overflows theta, so the run keeps record 0 alone
+        with np.errstate(over="ignore"):
+            traj = run(kind, pauli_sum(1, [(1.0, "Z")]), circuit(1, [ry(0, 0)]),
+                       [math.pi / 4 - 0.1], ConstantRate(1e308), max_steps=10)
+        assert traj.terminal_reason is TerminalReason.NON_FINITE
+        assert [s.k for s in traj.steps] == [0]
+
     def test_vanilla_diagnostics_use_identity(self, single_qubit):
         circ, h = single_qubit
         traj = run(OptimizerKind.VANILLA, h, circ, [PI_12, PI_12], ConstantRate(0.05), max_steps=3)
